@@ -83,8 +83,7 @@ inline std::function<core::QueryDescriptor()> QueryFactory(
 
 inline std::unique_ptr<harness::AStreamSut> MakeAStream(
     core::AStreamJob::TopologyKind topology, int parallelism,
-    bool measure_overhead = false, size_t batch_size = 1,
-    bool use_spsc_rings = true) {
+    bool measure_overhead = false, size_t batch_size = 1) {
   core::AStreamJob::Options options;
   options.topology = topology;
   options.parallelism = parallelism;
@@ -92,7 +91,6 @@ inline std::unique_ptr<harness::AStreamSut> MakeAStream(
   options.measure_overhead = measure_overhead;
   options.channel_capacity = 2048;
   options.batch_size = batch_size;
-  options.use_spsc_rings = use_spsc_rings;
   auto sut = std::make_unique<harness::AStreamSut>(options);
   return sut;
 }
@@ -109,20 +107,6 @@ inline size_t ParseBatchSize(int argc, char** argv) {
     }
   }
   return 1;
-}
-
-/// Parses a `--rings=0|1` argv knob (figure benches); 1 (default) routes
-/// internal single-producer edges through lock-free SPSC rings, 0 forces
-/// the mutex MPMC channel everywhere (the pre-ring data plane).
-inline bool ParseUseRings(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--rings=";
-    if (arg.rfind(prefix, 0) == 0) {
-      return std::strtol(arg.c_str() + prefix.size(), nullptr, 10) != 0;
-    }
-  }
-  return true;
 }
 
 inline std::unique_ptr<harness::BaselineSut> MakeFlink(
@@ -176,7 +160,7 @@ inline std::function<core::QueryDescriptor()> SingleQueryFactory(
 /// workload when its query deployment latency keeps growing (requests pile
 /// up behind serialized job deployments) or internal queues blow up.
 inline bool DeploymentLatencyGrows(const harness::Driver::Report& report) {
-  const auto& ev = report.qos.deployment_events;
+  const auto& ev = report.qos.deploy_acks;
   if (ev.size() < 6) return false;
   const size_t third = ev.size() / 3;
   double first = 0, last = 0;

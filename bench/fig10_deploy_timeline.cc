@@ -27,7 +27,7 @@ void RunOne(const char* label, harness::StreamSut* sut) {
   harness::Table table({"query #", "deployment latency"});
   TimestampMs total = 0;
   int index = 1;
-  for (const auto& [id, latency] : report.qos.deployment_events) {
+  for (const auto& [id, latency] : report.qos.deploy_acks) {
     table.AddRow({std::to_string(index++), harness::FormatMs(
                                                static_cast<double>(latency))});
     total += latency;

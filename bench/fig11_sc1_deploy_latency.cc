@@ -63,7 +63,7 @@ void Run() {
             sut.get(), &scenario, std::move(factory), cfg.duration_ms,
             kind == QueryKind::kJoin, rate, /*sample=*/0, /*warmup=*/0,
             /*drain_at_end=*/false);
-        const auto& lat = report.qos.deployment_latency;
+        const obs::Histogram::Snapshot lat = report.qos.DeployLatency();
         // Changelog count approximation: one ack burst per epoch.
         std::string changelogs = "-";
         if (cfg.astream) {
@@ -71,9 +71,8 @@ void Run() {
           changelogs = std::to_string(as->job()->session().last_epoch());
         }
         table.AddRow({cfg.label, harness::FormatMs(lat.mean()),
-                      harness::FormatMs(
-                          static_cast<double>(lat.Percentile(95))),
-                      harness::FormatMs(static_cast<double>(lat.max())),
+                      harness::FormatMs(lat.Percentile(95)),
+                      harness::FormatMs(static_cast<double>(lat.max)),
                       changelogs});
         sut->Stop();
       }

@@ -34,8 +34,8 @@ void Run(size_t batch_size) {
 
   for (QueryKind kind : {QueryKind::kJoin, QueryKind::kAggregation}) {
     for (int par : {2, 4}) {
-      harness::Table table(
-          {"config", "mean event-time latency", "p95", "outputs"});
+      harness::Table table({"config", "mean event-time latency", "p50",
+                            "p95", "p99", "outputs"});
       const Config configs[] = {
           {"AStream, single query", true, 50, 1},
           {"Flink, single query", false, 50, 1},
@@ -65,12 +65,13 @@ void Run(size_t batch_size) {
             sut.get(), &scenario, std::move(factory), /*duration_ms=*/2800,
             kind == QueryKind::kJoin, /*rate=*/50'000, /*sample=*/0,
             /*warmup=*/0, /*drain_at_end=*/false);
-        const auto& lat = report.qos.event_time_latency;
+        const obs::Histogram::Snapshot lat = report.qos.EventLatency();
         table.AddRow({cfg.label, harness::FormatMs(lat.mean()),
-                      harness::FormatMs(
-                          static_cast<double>(lat.Percentile(95))),
+                      harness::FormatMs(lat.Percentile(50)),
+                      harness::FormatMs(lat.Percentile(95)),
+                      harness::FormatMs(lat.Percentile(99)),
                       harness::FormatCount(
-                          static_cast<double>(lat.count()))});
+                          static_cast<double>(lat.count))});
         if (auto* astream = dynamic_cast<harness::AStreamSut*>(sut.get());
             astream != nullptr && max_qp > 1) {
           // Keep the busiest multi-query run's per-query histograms for

@@ -34,13 +34,12 @@ void Run() {
             /*duration_ms=*/3000, kind == QueryKind::kJoin,
             /*rate=*/50'000, /*sample=*/0, /*warmup=*/0,
             /*drain_at_end=*/false);
-        const auto& lat = report.qos.event_time_latency;
+        const obs::Histogram::Snapshot lat = report.qos.EventLatency();
         table.AddRow({"AStream, " + std::to_string(batch) + "q/10s",
                       harness::FormatMs(lat.mean()),
-                      harness::FormatMs(
-                          static_cast<double>(lat.Percentile(95))),
+                      harness::FormatMs(lat.Percentile(95)),
                       harness::FormatCount(
-                          static_cast<double>(lat.count()))});
+                          static_cast<double>(lat.count))});
         sut->Stop();
       }
       std::printf("%s queries, %s cluster:\n", KindLabel(kind),

@@ -33,13 +33,12 @@ void Run() {
             sut.get(), &scenario, QueryFactory(kind, 19),
             /*duration_ms=*/3000, kind == QueryKind::kJoin, rate,
             /*sample=*/0, /*warmup=*/0, /*drain_at_end=*/false);
-        const auto& lat = report.qos.deployment_latency;
+        const obs::Histogram::Snapshot lat = report.qos.DeployLatency();
         table.AddRow({"AStream, " + std::to_string(batch) + "q/10s",
                       harness::FormatMs(lat.mean()),
-                      harness::FormatMs(
-                          static_cast<double>(lat.Percentile(95))),
-                      harness::FormatMs(static_cast<double>(lat.max())),
-                      std::to_string(lat.count())});
+                      harness::FormatMs(lat.Percentile(95)),
+                      harness::FormatMs(static_cast<double>(lat.max)),
+                      std::to_string(lat.count)});
         sut->Stop();
       }
       std::printf("%s queries, %s cluster:\n", KindLabel(kind),

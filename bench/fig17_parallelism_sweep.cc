@@ -14,14 +14,12 @@ namespace {
 
 using core::QueryKind;
 
-void Run(size_t batch_size, bool use_rings) {
+void Run(size_t batch_size) {
   harness::PrintBanner(
       "Figure 17 — slowest data throughput vs. query parallelism (SC1)",
       "Log-spaced sweep of concurrently active queries.",
       std::string(kClusterScaling) + "; sweep 1..128 instead of 1..1000");
-  std::printf("data plane: batch_size=%zu, %s\n\n", batch_size,
-              use_rings ? "SPSC rings on internal edges"
-                        : "mutex MPMC channels everywhere");
+  std::printf("data plane: batch_size=%zu\n\n", batch_size);
 
   for (QueryKind kind : {QueryKind::kJoin, QueryKind::kAggregation}) {
     for (int par : {2, 4}) {
@@ -30,8 +28,7 @@ void Run(size_t batch_size, bool use_rings) {
       double prev = 0;
       for (size_t qp : {1u, 4u, 16u, 64u, 128u}) {
         auto sut = MakeAStream(TopologyFor(kind), par,
-                               /*measure_overhead=*/false, batch_size,
-                               use_rings);
+                               /*measure_overhead=*/false, batch_size);
         if (!sut->Start().ok()) continue;
         workload::Sc1Scenario scenario(/*rate_per_sec=*/400, qp);
         const double rate = kind == QueryKind::kJoin ? 250'000 : 0;
@@ -68,7 +65,6 @@ void Run(size_t batch_size, bool use_rings) {
 
 int main(int argc, char** argv) {
   astream::bench::BenchInit();
-  astream::bench::Run(astream::bench::ParseBatchSize(argc, argv),
-                      astream::bench::ParseUseRings(argc, argv));
+  astream::bench::Run(astream::bench::ParseBatchSize(argc, argv));
   return 0;
 }

@@ -28,7 +28,7 @@ double CalibrateBitsetOpNanos(size_t bits) {
   const auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
     core::QuerySet c = a & b;
-    sink += c.Count();
+    sink = sink + c.Count();
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   (void)sink;

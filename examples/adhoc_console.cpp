@@ -208,16 +208,27 @@ class Console {
   }
 
   void PrintStats() {
-    const auto snap = client_->QosSnapshot();
+    const auto snap = client_->MetricsSnapshot();
+    // Delivered = emitted by the shards minus the copies the egress
+    // ownership filter dropped after a split.
+    long long outputs = 0;
+    for (const auto& [q, series] : snap.queries) {
+      outputs += series.records_emitted;
+    }
+    if (auto it = snap.counters.find("shard.egress_dropped");
+        it != snap.counters.end()) {
+      outputs -= it->second;
+    }
+    const auto deploy = snap.histograms.find("job.deploy_latency_ms");
     std::printf(
         "  shards=%d  outputs=%lld  event-latency mean=%.0fms  "
-        "deploys=%lld (mean %.0fms)\n",
-        client_->num_shards(), (long long)snap.total_outputs,
-        snap.event_time_latency.mean(),
-        (long long)snap.deployment_latency.count(),
-        snap.deployment_latency.mean());
-    for (const auto& [q, n] : snap.outputs_per_query) {
-      std::printf("    Q%lld: %lld rows\n", (long long)q, (long long)n);
+        "deploy mean=%.0fms\n",
+        client_->num_shards(), outputs,
+        astream::obs::QueryEventLatency(snap).mean(),
+        deploy == snap.histograms.end() ? 0.0 : deploy->second.mean());
+    for (const auto& [q, series] : snap.queries) {
+      std::printf("    Q%lld: %lld rows emitted\n", (long long)q,
+                  (long long)series.records_emitted);
     }
   }
 

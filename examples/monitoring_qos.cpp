@@ -22,6 +22,27 @@ using astream::StreamId;
 using astream::core::AStreamJob;
 using astream::core::QueryId;
 using astream::spe::Row;
+using Metrics = astream::obs::MetricsRegistry::Snapshot;
+
+namespace {
+
+// Rows delivered to the result callback: what the shards emitted minus
+// the copies the egress ownership filter dropped (only after a split).
+long long Delivered(const Metrics& m) {
+  int64_t total = 0;
+  for (const auto& [id, series] : m.queries) total += series.records_emitted;
+  const auto dropped = m.counters.find("shard.egress_dropped");
+  if (dropped != m.counters.end()) total -= dropped->second;
+  return static_cast<long long>(total);
+}
+
+astream::obs::Histogram::Snapshot DeployLatency(const Metrics& m) {
+  const auto it = m.histograms.find("job.deploy_latency_ms");
+  return it == m.histograms.end() ? astream::obs::Histogram::Snapshot{}
+                                  : it->second;
+}
+
+}  // namespace
 
 int main() {
   ManualClock clock;
@@ -81,14 +102,12 @@ int main() {
       if (client->Checkpoint().ok()) ++checkpoints_completed;
     }
 
-    // The QoS dashboard: print a line every simulated 4 seconds. The
-    // percentiles come from the lock-free per-query histograms, merged
-    // across shards.
+    // The QoS dashboard: print a line every simulated 4 seconds. Every
+    // figure comes from the lock-free per-query histograms and counters,
+    // merged across shards.
     if (t > 0 && t % 4000 == 0) {
-      const auto snap = client->QosSnapshot();
       const auto metrics = client->MetricsSnapshot();
-      // Deployment-wide p95/p99 from the busiest tenant's histogram
-      // (per-query percentiles don't merge exactly; show the worst query).
+      // The worst tenant's p95/p99 next to the fleet-wide mean.
       double p95 = 0, p99 = 0;
       int64_t worst = -1;
       for (const auto& [id, series] : metrics.queries) {
@@ -103,32 +122,33 @@ int main() {
           "t=%2ds  active=%2zu  outputs=%-7lld  "
           "event-latency mean=%.0fms worst-query Q%lld p95=%.0fms "
           "p99=%.0fms  deploy mean=%.0fms\n",
-          t / 1000, tenants.size(),
-          static_cast<long long>(snap.total_outputs),
-          snap.event_time_latency.mean(), static_cast<long long>(worst),
-          p95, p99, snap.deployment_latency.mean());
+          t / 1000, tenants.size(), Delivered(metrics),
+          astream::obs::QueryEventLatency(metrics).mean(),
+          static_cast<long long>(worst), p95, p99,
+          DeployLatency(metrics).mean());
     }
   }
 
   client->FinishAndWait();
 
-  const auto snap = client->QosSnapshot();
+  const auto snap = client->MetricsSnapshot();
+  const auto latency = astream::obs::QueryEventLatency(snap);
+  const auto deploy = DeployLatency(snap);
   std::printf("\nfinal report (%d shards)\n", client->num_shards());
-  std::printf("  outputs total:          %lld\n",
-              static_cast<long long>(snap.total_outputs));
+  std::printf("  outputs total:          %lld\n", Delivered(snap));
   std::printf("  event-time latency:     mean %.0fms, max %lldms\n",
-              snap.event_time_latency.mean(),
-              static_cast<long long>(snap.event_time_latency.max()));
-  std::printf("  deployment latency:     mean %.0fms over %lld requests\n",
-              snap.deployment_latency.mean(),
-              static_cast<long long>(snap.deployment_latency.count()));
+              latency.mean(), static_cast<long long>(latency.max));
+  // Every shard acks every request, so the merged histogram holds one
+  // observation per request per shard.
+  std::printf("  deployment latency:     mean %.0fms over %lld shard acks\n",
+              deploy.mean(), static_cast<long long>(deploy.count));
   std::printf("  checkpoints completed:  %lld of %lld\n",
               static_cast<long long>(checkpoints_completed),
               static_cast<long long>(checkpoints_taken));
   std::printf("  busiest tenants:\n");
   std::vector<std::pair<int64_t, QueryId>> by_count;
-  for (const auto& [id, count] : snap.outputs_per_query) {
-    by_count.emplace_back(count, id);
+  for (const auto& [id, series] : snap.queries) {
+    by_count.emplace_back(series.records_emitted, id);
   }
   std::sort(by_count.rbegin(), by_count.rend());
   for (size_t i = 0; i < by_count.size() && i < 3; ++i) {
@@ -141,7 +161,7 @@ int main() {
   // it — counters/gauges/series summed across shards, histograms merged
   // bucket-wise.
   std::printf("\nmetrics registry (merged across shards)\n%s",
-              astream::obs::ExportText(client->MetricsSnapshot()).c_str());
+              astream::obs::ExportText(snap).c_str());
 
   // Query lifecycle trace (submit -> changelog flush -> deploy ack ->
   // first result -> cancel), one JSON object per line. Each shard keeps

@@ -97,10 +97,10 @@ int main() {
   }
 
   client->FinishAndWait();
-  const auto qos = client->QosSnapshot();
-  auto outputs_of = [&qos](QueryId q) -> long long {
-    auto it = qos.outputs_per_query.find(q);
-    return it == qos.outputs_per_query.end() ? 0 : it->second;
+  const auto metrics = client->MetricsSnapshot();
+  auto outputs_of = [&metrics](QueryId q) -> long long {
+    auto it = metrics.queries.find(q);
+    return it == metrics.queries.end() ? 0 : it->second.records_emitted;
   };
   std::printf("\ntap results: %lld rows, sums results: %lld rows\n",
               outputs_of(q_tap), outputs_of(q_sums));

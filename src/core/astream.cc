@@ -486,7 +486,7 @@ Status AStreamJob::Start() {
   if (options_.threaded) {
     auto threaded = std::make_unique<spe::ThreadedRunner>(
         std::move(spec), sink, snapshot, options_.channel_capacity,
-        options_.batch_size, options_.use_spsc_rings);
+        options_.batch_size);
     if (!edge_batch_hists_.empty()) {
       threaded->SetEdgePushObserver([this](int stage, size_t batch) {
         edge_batch_hists_[stage]->Record(static_cast<int64_t>(batch));
@@ -511,8 +511,6 @@ void AStreamJob::HandleSink(int stage, int instance,
     case spe::ElementKind::kRecord: {
       const spe::Record& record = el.record;
       if (record.channel < 0) return;  // unrouted (should not happen)
-      qos_.RecordOutput(record.channel, record.event_time,
-                        clock_->NowMs());
       ResultCallback cb;
       {
         std::lock_guard<std::mutex> lock(callback_mutex_);
@@ -533,7 +531,6 @@ void AStreamJob::HandleSink(int stage, int instance,
                                  &latencies);
       }
       for (const auto& [id, latency] : latencies) {
-        qos_.RecordDeployment(id, latency);
         if (m_deploy_latency_ != nullptr) m_deploy_latency_->Record(latency);
         if (obs::QuerySeries* s = metrics_.SeriesFor(id)) {
           s->deploy_latency_ms.Record(latency);
@@ -818,8 +815,7 @@ void AStreamJob::MaybeAdmitQueued() {
 }
 
 double AStreamJob::LiveP99() const {
-  return static_cast<double>(
-      qos_.TakeSnapshot().event_time_latency.Percentile(99));
+  return obs::QueryEventLatency(metrics_.TakeSnapshot()).Percentile(99);
 }
 
 int AStreamJob::Pump(bool force) {
@@ -952,6 +948,35 @@ AStreamJob::TaskHealth() const {
 void AStreamJob::SetResultCallback(ResultCallback callback) {
   std::lock_guard<std::mutex> lock(callback_mutex_);
   result_callback_ = std::move(callback);
+}
+
+AStreamJob::OperatorStats& AStreamJob::OperatorStats::operator+=(
+    const OperatorStats& other) {
+  queryset_nanos += other.queryset_nanos;
+  fanout_nanos += other.fanout_nanos;
+  bitset_ops += other.bitset_ops;
+  join_pairs_computed += other.join_pairs_computed;
+  join_pairs_reused += other.join_pairs_reused;
+  records_late += other.records_late;
+  selection_records_in += other.selection_records_in;
+  selection_records_out += other.selection_records_out;
+  router_records_out += other.router_records_out;
+  router_rows_shared += other.router_rows_shared;
+  router_rows_copied += other.router_rows_copied;
+  state_arena_bytes += other.state_arena_bytes;
+  reload_saves += other.reload_saves;
+  arrange_memo_hits += other.arrange_memo_hits;
+  arrange_memo_misses += other.arrange_memo_misses;
+  arrange_memo_bytes += other.arrange_memo_bytes;
+  factor_rewrites += other.factor_rewrites;
+  factor_reuses += other.factor_reuses;
+  factor_fallbacks += other.factor_fallbacks;
+  mjoin_chains_computed += other.mjoin_chains_computed;
+  mjoin_chains_reused += other.mjoin_chains_reused;
+  subjoins_built += other.subjoins_built;
+  subjoins_attached += other.subjoins_attached;
+  subjoin_nodes += other.subjoin_nodes;
+  return *this;
 }
 
 AStreamJob::OperatorStats AStreamJob::CollectStats() const {
@@ -1182,15 +1207,13 @@ obs::MetricsRegistry::Snapshot AStreamJob::MetricsSnapshot() {
         if (threaded != nullptr) {
           metrics_.GetGauge(prefix + "queue_depth")
               ->Set(static_cast<int64_t>(threaded->StageQueuedElements(s)));
-          if (threaded->use_spsc_rings()) {
-            // Fill fraction in [0, 1], exported in basis points so the
-            // integer gauge keeps two decimal digits of resolution.
-            metrics_
-                .GetGauge("edge." + runner_->StageName(s) +
-                          ".ring_occupancy_bp")
-                ->Set(static_cast<int64_t>(
-                    threaded->StageRingOccupancy(s) * 10000.0));
-          }
+          // Fill fraction in [0, 1], exported in basis points so the
+          // integer gauge keeps two decimal digits of resolution.
+          metrics_
+              .GetGauge("edge." + runner_->StageName(s) +
+                        ".ring_occupancy_bp")
+              ->Set(static_cast<int64_t>(
+                  threaded->StageRingOccupancy(s) * 10000.0));
         }
       }
     }

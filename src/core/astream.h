@@ -12,7 +12,6 @@
 #include "core/admission.h"
 #include "core/multiway_join.h"
 #include "core/push_result.h"
-#include "core/qos.h"
 #include "core/query.h"
 #include "core/router.h"
 #include "core/shared_aggregation.h"
@@ -62,10 +61,6 @@ class AStreamJob {
     /// predicate index (see SharedSelection::Config).
     bool use_predicate_index = true;
     size_t channel_capacity = 1024;
-    /// Threaded mode: route each internal (upstream-instance -> downstream-
-    /// instance) edge through a lock-free SPSC ring instead of the mutex
-    /// channel (external ingress always uses the mutex MPMC fallback).
-    bool use_spsc_rings = true;
     /// Data-plane batch size. Pushed tuples are buffered per input stream
     /// and shipped as one ElementBatch (one channel lock, one operator
     /// dispatch) once `batch_size` tuples accumulated; operators batch
@@ -226,15 +221,16 @@ class AStreamJob {
 
   void SetResultCallback(ResultCallback callback);
 
-  QosMonitor& qos() { return qos_; }
   const SharedSession& session() const { return session_; }
   /// The job's effective creation options (the isolation manager clones
   /// them for a de-shared whale's dedicated job).
   const Options& options() const { return options_; }
 
-  /// Observability (see DESIGN.md "Observability"). The registry collects
-  /// named counters/gauges/histograms plus per-query series; the trace
-  /// sink collects lifecycle events. Both live as long as the job.
+  /// Observability (see DESIGN.md "Observability") and the QoS monitor of
+  /// Sec. 3.4: the registry collects named counters/gauges/histograms plus
+  /// per-query series (outputs, event-time and deploy latency); the trace
+  /// sink collects lifecycle events (deploy acks in arrival order). Both
+  /// live as long as the job.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   obs::TraceSink& trace() { return trace_; }
@@ -270,6 +266,9 @@ class AStreamJob {
     int64_t subjoins_built = 0;      // multiway plans with no reusable prefix
     int64_t subjoins_attached = 0;   // plans attached to a materialized sub-join
     int64_t subjoin_nodes = 0;       // live refcounted sub-join nodes
+
+    /// Field-wise sum (the sharded deployment's merged view).
+    OperatorStats& operator+=(const OperatorStats& other);
   };
   OperatorStats CollectStats() const;
 
@@ -306,7 +305,6 @@ class AStreamJob {
   obs::MetricsRegistry metrics_;
   obs::TraceSink trace_;
   SharedSession session_;
-  QosMonitor qos_;
   AdmissionController admission_;
 
   // Admission queue: descriptors deferred by the controller, in submit

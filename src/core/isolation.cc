@@ -142,9 +142,12 @@ Status IsolationManager::Maintain() {
     for (const auto& [id, cost] : costs) total += cost;
     if (total <= 0 || total < slo.whale_min_cost) return Status::OK();
     if (slo.p99_event_latency_ms > 0) {
-      const int64_t p99 =
-          primary_->qos().TakeSnapshot().event_time_latency.Percentile(99);
-      if (p99 < slo.p99_event_latency_ms) return Status::OK();
+      const double p99 =
+          obs::QueryEventLatency(primary_->metrics().TakeSnapshot())
+              .Percentile(99);
+      if (p99 < static_cast<double>(slo.p99_event_latency_ms)) {
+        return Status::OK();
+      }
     }
     QueryId fattest = -1;
     int64_t fattest_cost = 0;

@@ -46,7 +46,9 @@ class AStreamSut : public StreamSut {
   void FinishAndWait() override { job_->FinishAndWait(); }
   void Stop() override { job_->Stop(); }
 
-  core::QosMonitor& qos() override { return job_->qos(); }
+  QosView qos() const override {
+    return QosView::Of(job_->metrics(), job_->trace());
+  }
   size_t QueuedElements() const override { return job_->QueuedElements(); }
   const char* name() const override { return "AStream"; }
 

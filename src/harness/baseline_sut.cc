@@ -13,8 +13,8 @@ using core::QueryKind;
 
 BaselineSut::BaselineSut(Config config)
     : config_(config),
-      clock_(config.clock != nullptr ? config.clock
-                                     : WallClock::Default()) {}
+      clock_(config.clock != nullptr ? config.clock : WallClock::Default()),
+      m_deploy_latency_(metrics_.GetHistogram("job.deploy_latency_ms")) {}
 
 BaselineSut::~BaselineSut() { Stop(); }
 
@@ -140,12 +140,14 @@ Result<std::shared_ptr<spe::Runner>> BaselineSut::BuildJob(
     spec.AddStage(std::move(sink));
   }
 
-  auto sink_fn = [this, id](int stage, int instance,
-                            const spe::StreamElement& el) {
+  obs::QuerySeries* series = metrics_.SeriesFor(id);
+  auto sink_fn = [this, series](int stage, int instance,
+                                const spe::StreamElement& el) {
     (void)stage;
     (void)instance;
     if (el.kind != spe::ElementKind::kRecord) return;
-    qos_.RecordOutput(id, el.record.event_time, clock_->NowMs());
+    series->records_emitted.Add();
+    series->event_latency_ms.Record(clock_->NowMs() - el.record.event_time);
   };
 
   std::shared_ptr<spe::Runner> runner;
@@ -202,7 +204,10 @@ void BaselineSut::DeployWorker() {
       }
       if (job != nullptr) job->runner->Cancel();
     }
-    qos_.RecordDeployment(req.id, clock_->NowMs() - req.enqueued_at);
+    const TimestampMs latency = clock_->NowMs() - req.enqueued_at;
+    m_deploy_latency_->Record(latency);
+    metrics_.SeriesFor(req.id)->deploy_latency_ms.Record(latency);
+    trace_.Record(obs::TraceEventKind::kDeployAck, req.id, latency);
     {
       std::lock_guard<std::mutex> lock(mutex_);
       --in_flight_deploys_;

@@ -48,7 +48,7 @@ class BaselineSut : public StreamSut {
   bool WaitDeployed(TimestampMs timeout_ms) override;
   void FinishAndWait() override;
   void Stop() override;
-  core::QosMonitor& qos() override { return qos_; }
+  QosView qos() const override { return QosView::Of(metrics_, trace_); }
   size_t QueuedElements() const override;
   const char* name() const override { return "Flink(query-at-a-time)"; }
 
@@ -79,7 +79,11 @@ class BaselineSut : public StreamSut {
 
   Config config_;
   Clock* clock_;
-  core::QosMonitor qos_;
+  // QoS, recorded like an AStreamJob records it: per-query series at the
+  // sinks, job.deploy_latency_ms and a kDeployAck trace event per request.
+  obs::MetricsRegistry metrics_;
+  obs::TraceSink trace_;
+  obs::Histogram* m_deploy_latency_ = nullptr;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;

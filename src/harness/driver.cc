@@ -140,13 +140,14 @@ Driver::Report Driver::Run() {
     if (config_.sample_interval_ms > 0 &&
         now - last_sample >= config_.sample_interval_ms) {
       last_sample = now;
-      const auto qos = sut_->qos().TakeSnapshot();
+      const QosView qos = sut_->qos();
+      const obs::Histogram::Snapshot latency = qos.EventLatency();
       Sample s;
       s.at_ms = now - start;
       s.pushed = report.pushed_a + report.pushed_b;
-      s.outputs = qos.total_outputs;
-      s.event_latency_mean_ms = qos.event_time_latency.mean();
-      s.event_latency_count = qos.event_time_latency.count();
+      s.outputs = qos.TotalOutputs();
+      s.event_latency_mean_ms = latency.mean();
+      s.event_latency_count = latency.count;
       s.active_queries = active_.size();
       report.samples.push_back(s);
     }
@@ -172,8 +173,8 @@ Driver::Report Driver::Run() {
       active_samples == 0 ? 0 : active_samples_sum / active_samples;
   report.overall_rate_per_sec =
       report.input_rate_per_sec * report.avg_active_queries;
-  report.qos = sut_->qos().TakeSnapshot();
-  report.total_outputs = report.qos.total_outputs;
+  report.qos = sut_->qos();
+  report.total_outputs = report.qos.TotalOutputs();
   return report;
 }
 

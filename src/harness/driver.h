@@ -83,7 +83,7 @@ class Driver {
     int64_t push_shutdown = 0;
     int64_t total_outputs = 0;
     bool sustainable = true;
-    core::QosMonitor::Snapshot qos;
+    QosView qos;
     std::vector<Sample> samples;
   };
 

@@ -152,6 +152,12 @@ void MergeInto(Histogram::Snapshot* into, const Histogram::Snapshot& from) {
   }
 }
 
+Histogram::Snapshot QueryEventLatency(const MetricsRegistry::Snapshot& s) {
+  Histogram::Snapshot merged;
+  for (const auto& [id, q] : s.queries) MergeInto(&merged, q.event_latency_ms);
+  return merged;
+}
+
 MetricsRegistry::Snapshot MergeSnapshots(
     const std::vector<MetricsRegistry::Snapshot>& snapshots) {
   MetricsRegistry::Snapshot merged;

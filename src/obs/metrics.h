@@ -175,6 +175,11 @@ class MetricsRegistry {
 /// add; min/max widen). The sharded deployment view is built from these.
 void MergeInto(Histogram::Snapshot* into, const Histogram::Snapshot& from);
 
+/// Event-time latency of every result emitted for any query: the
+/// per-query `event_latency_ms` histograms merged (the fleet p99 the
+/// admission and de-sharing policies read, and the figures' latency).
+Histogram::Snapshot QueryEventLatency(const MetricsRegistry::Snapshot& s);
+
 /// Merges per-shard registry snapshots into one coherent view: counters,
 /// gauges, and per-query series add across shards; histograms merge
 /// bucket-wise. Gauges are summed because every AStream gauge is a size

@@ -25,7 +25,7 @@ namespace astream {
 /// (MoveShard/SplitShard) behind the same surface.
 ///
 /// Single control thread, like AStreamJob. `Push(StreamId, ...)` is the
-/// generic data surface; PushA/PushB survive as deprecated compat shims.
+/// one data surface.
 class Client {
  public:
   using TopologyKind = core::AStreamJob::TopologyKind;
@@ -44,15 +44,6 @@ class Client {
   }
   void PushWatermark(TimestampMs watermark) {
     router_->PushWatermark(watermark);
-  }
-
-  /// Deprecated compat shims for the old hardwired pair; new code calls
-  /// Push(StreamId::kA / StreamId::kB, ...).
-  core::PushResult PushA(TimestampMs event_time, spe::Row row) {
-    return Push(StreamId::kA, event_time, std::move(row));
-  }
-  core::PushResult PushB(TimestampMs event_time, spe::Row row) {
-    return Push(StreamId::kB, event_time, std::move(row));
   }
 
   Result<core::QueryId> Submit(const core::QueryDescriptor& desc) {
@@ -76,11 +67,14 @@ class Client {
     router_->SetResultCallback(std::move(callback));
   }
 
-  /// Deployment-wide observability (merged across shards).
+  /// Deployment-wide observability, merged across shards and across the
+  /// incarnations moves and splits replaced: per-query outputs
+  /// (`records_emitted`, pre egress filter — subtract counter
+  /// `shard.egress_dropped` for delivered totals), event-time and deploy
+  /// latency histograms, named counters and gauges.
   obs::MetricsRegistry::Snapshot MetricsSnapshot() {
     return router_->MetricsSnapshot();
   }
-  core::QosMonitor::Snapshot QosSnapshot() { return router_->QosSnapshot(); }
   core::AStreamJob::OperatorStats CollectStats() const {
     return router_->CollectStats();
   }

@@ -20,10 +20,11 @@ int64_t SteadyNowMs() {
 
 ShardRouter::ShardRouter(JobConfig config)
     : config_(std::move(config)),
-      clock_(config_.job.clock != nullptr ? config_.job.clock
-                                          : WallClock::Default()),
       admission_(config_.job.slo),
       router_metrics_(config_.job.enable_metrics) {
+  if (router_metrics_.enabled()) {
+    egress_dropped_ = router_metrics_.GetCounter("shard.egress_dropped");
+  }
   plan_.store(std::make_shared<const ShardPlan>(
       ShardPlan::Uniform(config_.shards, config_.slots)));
   generations_.assign(static_cast<size_t>(config_.shards), 0);
@@ -81,8 +82,10 @@ void ShardRouter::Deliver(int shard_index, core::QueryId id,
   // exactly the owner's copy, which is what makes the merged output
   // byte-identical to an unsharded run.
   const std::shared_ptr<const ShardPlan> plan = plan_.load();
-  if (plan->OwnerOfKey(r.row.key()) != shard_index) return;
-  qos_.RecordOutput(id, r.event_time, clock_->NowMs());
+  if (plan->OwnerOfKey(r.row.key()) != shard_index) {
+    if (egress_dropped_ != nullptr) egress_dropped_->Add();
+    return;
+  }
   core::AStreamJob::ResultCallback cb;
   {
     std::lock_guard<std::mutex> lock(cb_mu_);
@@ -112,11 +115,19 @@ Result<core::QueryId> ShardRouter::Submit(
     std::lock_guard<std::mutex> lock(poison_mu_);
     ASTREAM_RETURN_IF_ERROR(poisoned_);
   }
+  QuiesceAll();
   if (admission_.enabled()) {
-    const int64_t p99 =
-        qos_.TakeSnapshot().event_time_latency.Percentile(99);
+    // Deployment-wide p99: every shard's per-query latency histograms,
+    // merged bucket-wise. Read after the quiesce, so no pump thread is
+    // swapping a supervised shard's job mid-recovery.
+    obs::Histogram::Snapshot latency =
+        obs::QueryEventLatency(retired_metrics_);
+    for (auto& shard : shards_) {
+      obs::MergeInto(&latency, obs::QueryEventLatency(
+                                   shard->job()->metrics().TakeSnapshot()));
+    }
     const core::AdmissionController::Decision d = admission_.Decide(
-        desc, /*num_queued=*/0, static_cast<double>(p99));
+        desc, /*num_queued=*/0, latency.Percentile(99));
     if (d.action != core::AdmissionDecision::kAdmitted) {
       // Reject-only at the router (no deployment-wide queue): a decision
       // the single-job gate would merely defer is refused here.
@@ -126,7 +137,6 @@ Result<core::QueryId> ShardRouter::Submit(
       return Status::AdmissionRejected(d.reason);
     }
   }
-  QuiesceAll();
   std::vector<std::pair<int, core::QueryId>> applied;
   core::QueryId first_id = -1;
   Status failure = Status::OK();
@@ -228,7 +238,7 @@ Status ShardRouter::MoveShard(int shard) {
     return Status::InvalidArgument("no such shard");
   }
   const int64_t t0 = SteadyNowMs();
-  auto cp = shards_[static_cast<size_t>(shard)]->DrainToCheckpoint();
+  auto cp = Drain(shard);
   if (cp == nullptr) {
     return Status::Internal("drain of shard " + std::to_string(shard) +
                             " failed");
@@ -261,7 +271,7 @@ Status ShardRouter::SplitShard(int shard) {
   }
   const int64_t t0 = SteadyNowMs();
   const int new_shard = num_shards();
-  auto cp = shards_[static_cast<size_t>(shard)]->DrainToCheckpoint();
+  auto cp = Drain(shard);
   if (cp == nullptr) {
     return Status::Internal("drain of shard " + std::to_string(shard) +
                             " failed");
@@ -285,6 +295,19 @@ Status ShardRouter::SplitShard(int shard) {
   last_reshard_pause_ms_.store(SteadyNowMs() - t0,
                                std::memory_order_relaxed);
   return Status::OK();
+}
+
+std::shared_ptr<const spe::CheckpointStore::Checkpoint> ShardRouter::Drain(
+    int shard) {
+  ShardRuntime* runtime = shards_[static_cast<size_t>(shard)].get();
+  auto cp = runtime->DrainToCheckpoint();
+  if (cp == nullptr) return nullptr;
+  obs::MetricsRegistry::Snapshot last =
+      runtime->job()->metrics().TakeSnapshot();
+  last.gauges.clear();
+  for (auto& [id, series] : last.queries) series.cost_state_bytes = 0;
+  retired_metrics_ = obs::MergeSnapshots({retired_metrics_, last});
+  return cp;
 }
 
 Status ShardRouter::KillShard(int shard, const Status& why) {
@@ -347,48 +370,22 @@ void ShardRouter::SetResultCallback(
 }
 
 obs::MetricsRegistry::Snapshot ShardRouter::MetricsSnapshot() {
-  std::vector<obs::MetricsRegistry::Snapshot> snapshots;
-  snapshots.reserve(shards_.size() + 1);
+  std::vector<obs::MetricsRegistry::Snapshot> snapshots{retired_metrics_};
+  snapshots.reserve(shards_.size() + 2);
   for (auto& shard : shards_) snapshots.push_back(shard->MetricsSnapshot());
-  if (router_metrics_.enabled() && admission_.enabled()) {
-    router_metrics_.GetGauge("admission.active_queries")
-        ->Set(static_cast<int64_t>(admission_.num_admitted()));
+  if (router_metrics_.enabled()) {
+    if (admission_.enabled()) {
+      router_metrics_.GetGauge("admission.active_queries")
+          ->Set(static_cast<int64_t>(admission_.num_admitted()));
+    }
     snapshots.push_back(router_metrics_.TakeSnapshot());
   }
   return obs::MergeSnapshots(snapshots);
 }
 
-core::QosMonitor::Snapshot ShardRouter::QosSnapshot() {
-  // Outputs come from the router's own monitor (recorded post-filter);
-  // deployment latency comes from shard 0 — every shard acks the same
-  // changelog timeline, so shard 0 speaks for the deployment and summing
-  // would count each deployment N times.
-  core::QosMonitor::Snapshot merged = qos_.TakeSnapshot();
-  if (!shards_.empty()) {
-    core::QosMonitor::Snapshot s0 = shards_[0]->QosSnapshot();
-    merged.deployment_latency = s0.deployment_latency;
-    merged.deployment_events = std::move(s0.deployment_events);
-  }
-  return merged;
-}
-
 core::AStreamJob::OperatorStats ShardRouter::CollectStats() const {
   core::AStreamJob::OperatorStats total;
-  for (const auto& shard : shards_) {
-    const core::AStreamJob::OperatorStats s = shard->CollectStats();
-    total.queryset_nanos += s.queryset_nanos;
-    total.fanout_nanos += s.fanout_nanos;
-    total.bitset_ops += s.bitset_ops;
-    total.join_pairs_computed += s.join_pairs_computed;
-    total.join_pairs_reused += s.join_pairs_reused;
-    total.records_late += s.records_late;
-    total.selection_records_in += s.selection_records_in;
-    total.selection_records_out += s.selection_records_out;
-    total.router_records_out += s.router_records_out;
-    total.router_rows_shared += s.router_rows_shared;
-    total.router_rows_copied += s.router_rows_copied;
-    total.state_arena_bytes += s.state_arena_bytes;
-  }
+  for (const auto& shard : shards_) total += shard->CollectStats();
   return total;
 }
 

@@ -18,8 +18,10 @@ namespace astream::shard {
 /// logical query exists on all shards under one id. Per-query outputs
 /// merge into a single callback, filtered by current slot ownership (so a
 /// freshly split shard pair, both restored from the full pre-split state,
-/// emits every result exactly once). Metrics/QoS/operator stats merge
-/// into one deployment-wide view.
+/// emits every result exactly once). Metrics and operator stats merge into
+/// one deployment-wide view; rows the ownership filter drops are counted
+/// in `shard.egress_dropped`, so exactly-once output totals stay
+/// recoverable from the merged metrics after a split.
 ///
 /// Live resharding: MoveShard drains a shard to a (durably persistable)
 /// checkpoint and rebuilds it; SplitShard drains one shard and restores
@@ -90,7 +92,6 @@ class ShardRouter {
 
   /// Deployment-wide views.
   obs::MetricsRegistry::Snapshot MetricsSnapshot();
-  core::QosMonitor::Snapshot QosSnapshot();
   core::AStreamJob::OperatorStats CollectStats() const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -106,6 +107,9 @@ class ShardRouter {
       std::shared_ptr<const spe::CheckpointStore::Checkpoint> restore_from);
   /// Installs the merged, ownership-filtered result callback on a shard.
   void InstallCallback(ShardRuntime* runtime, int index);
+  /// Drains `shard` to its hand-off checkpoint (nullptr on failure) and
+  /// folds the drained incarnation's metrics into retired_metrics_.
+  std::shared_ptr<const spe::CheckpointStore::Checkpoint> Drain(int shard);
   void Deliver(int shard_index, core::QueryId id, const spe::Record& r);
   /// Drains every shard's ingress ring before a control fan-out so all
   /// shards stamp the operation at one consistent wall time.
@@ -113,20 +117,22 @@ class ShardRouter {
   void Poison(const Status& status);
 
   JobConfig config_;
-  Clock* clock_;
-  /// Deployment-wide admission gate (reject-only; see Submit). Counters
-  /// land in router_metrics_, merged into MetricsSnapshot().
+  /// Deployment-wide admission gate (reject-only; see Submit). Its
+  /// counters and `shard.egress_dropped` land in router_metrics_, merged
+  /// into MetricsSnapshot().
   core::AdmissionController admission_;
   obs::MetricsRegistry router_metrics_;
+  /// Rows the egress ownership filter dropped (null: metrics disabled).
+  obs::Counter* egress_dropped_ = nullptr;
+  /// Counters, histograms and per-query series of shard incarnations
+  /// replaced by a move or split, so merged totals span the whole run.
+  /// Gauges are left out: they describe live state.
+  obs::MetricsRegistry::Snapshot retired_metrics_;
   std::vector<std::unique_ptr<ShardRuntime>> shards_;
   /// Bumped per index on every rebuild (durable dir uniqueness).
   std::vector<int> generations_;
   /// Snapshot-swapped ownership table; sink threads load it wait-free.
   std::atomic<std::shared_ptr<const ShardPlan>> plan_;
-
-  /// Router-level QoS: outputs recorded post-filter (per-shard monitors
-  /// would double-count results suppressed by the ownership filter).
-  core::QosMonitor qos_;
 
   std::mutex cb_mu_;
   core::AStreamJob::ResultCallback user_callback_;

@@ -209,10 +209,6 @@ obs::MetricsRegistry::Snapshot ShardRuntime::MetricsSnapshot() {
   return job()->MetricsSnapshot();
 }
 
-core::QosMonitor::Snapshot ShardRuntime::QosSnapshot() {
-  return job()->qos().TakeSnapshot();
-}
-
 core::AStreamJob::OperatorStats ShardRuntime::CollectStats() const {
   return job()->CollectStats();
 }

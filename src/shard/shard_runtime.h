@@ -97,7 +97,6 @@ class ShardRuntime {
   harness::SupervisedJob* supervised() { return supervised_.get(); }
 
   obs::MetricsRegistry::Snapshot MetricsSnapshot();
-  core::QosMonitor::Snapshot QosSnapshot();
   core::AStreamJob::OperatorStats CollectStats() const;
 
   int index() const { return options_.index; }

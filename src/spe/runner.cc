@@ -514,13 +514,12 @@ int64_t SyncRunner::StageRecordsOut(int stage) const {
 
 ThreadedRunner::ThreadedRunner(TopologySpec spec, SinkFn sink,
                                SnapshotFn snapshot, size_t channel_capacity,
-                               size_t batch_size, bool use_spsc_rings)
+                               size_t batch_size)
     : spec_(std::move(spec)),
       sink_(std::move(sink)),
       snapshot_(std::move(snapshot)),
       channel_capacity_(channel_capacity),
-      batch_size_(batch_size == 0 ? 1 : batch_size),
-      use_spsc_rings_(use_spsc_rings) {}
+      batch_size_(batch_size == 0 ? 1 : batch_size) {}
 
 ThreadedRunner::~ThreadedRunner() { Cancel(); }
 
@@ -542,8 +541,7 @@ Status ThreadedRunner::Start() {
           static_cast<int>(s), i, stage.factory(i));
       task->inbox = std::make_unique<TaskInbox>(channel_capacity_);
       // Every instance keeps a mutex channel for producers without a
-      // single-producer guarantee (external ingress; all edges in the
-      // mutex-fallback mode).
+      // single-producer guarantee (external ingress, injected markers).
       task->inbox->EnsureExternal();
       RegisterSenders(task->runtime.get(), spec_, gid_base_,
                       static_cast<int>(s));
@@ -574,20 +572,18 @@ Status ThreadedRunner::Start() {
   // instance) edge: each producing task is exactly one thread, so the
   // single-producer contract holds by construction. Must happen before
   // threads spawn — inbox wiring is not thread-safe.
-  if (use_spsc_rings_) {
-    size_t ring_batches =
-        channel_capacity_ / std::max<size_t>(size_t{1}, batch_size_);
-    if (ring_batches < 8) ring_batches = 8;
-    if (ring_batches > 256) ring_batches = 256;
-    for (size_t s = 0; s < stages.size(); ++s) {
-      for (auto& task : tasks_[s]) {
-        task->out_rings.resize(downstream_[s].size());
-        for (size_t e = 0; e < downstream_[s].size(); ++e) {
-          auto& targets = tasks_[downstream_[s][e].target_stage];
-          task->out_rings[e].resize(targets.size());
-          for (size_t i = 0; i < targets.size(); ++i) {
-            task->out_rings[e][i] = targets[i]->inbox->AddRing(ring_batches);
-          }
+  size_t ring_batches =
+      channel_capacity_ / std::max<size_t>(size_t{1}, batch_size_);
+  if (ring_batches < 8) ring_batches = 8;
+  if (ring_batches > 256) ring_batches = 256;
+  for (size_t s = 0; s < stages.size(); ++s) {
+    for (auto& task : tasks_[s]) {
+      task->out_rings.resize(downstream_[s].size());
+      for (size_t e = 0; e < downstream_[s].size(); ++e) {
+        auto& targets = tasks_[downstream_[s][e].target_stage];
+        task->out_rings[e].resize(targets.size());
+        for (size_t i = 0; i < targets.size(); ++i) {
+          task->out_rings[e][i] = targets[i]->inbox->AddRing(ring_batches);
         }
       }
     }
@@ -681,14 +677,8 @@ void ThreadedRunner::PushEdge(Task* task, int stage, size_t edge_idx,
   if (cancelled_.load(std::memory_order_relaxed)) return;
   const internal::DownstreamEdge& edge = downstream_[stage][edge_idx];
   const size_t n = batch.elements.size();
-  bool ok;
-  if (!task->out_rings.empty()) {
-    // Per-edge SPSC fast path; this task's thread is the sole producer.
-    ok = task->out_rings[edge_idx][target]->Push(std::move(batch));
-  } else {
-    ok = tasks_[edge.target_stage][target]->inbox->PushExternal(
-        std::move(batch));
-  }
+  // Per-edge SPSC ring; this task's thread is the sole producer.
+  const bool ok = task->out_rings[edge_idx][target]->Push(std::move(batch));
   if (!ok && !cancelled_.load(std::memory_order_relaxed)) {
     // A closed downstream edge outside cancellation (e.g. an injected
     // drop-to-closed) would be silent data loss; convert it into a
@@ -777,9 +767,9 @@ void ThreadedRunner::RouteControl(int stage, int instance,
   Task* task = tasks_[stage][instance].get();
   // Control elements are batch boundaries: flush buffered records first so
   // per-edge FIFO order is preserved, then broadcast as singleton batches.
-  // They MUST travel the same per-edge source (ring or channel) as this
-  // sender's records — marker alignment only needs per-(port, sender) FIFO,
-  // and that is exactly what one source per edge provides.
+  // They MUST travel the same per-edge ring as this sender's records —
+  // marker alignment only needs per-(port, sender) FIFO, and that is
+  // exactly what one ring per edge provides.
   FlushTaskOutputs(task, stage);
   const int sender = gid_base_[stage] + instance;
   for (size_t e = 0; e < downstream_[stage].size(); ++e) {

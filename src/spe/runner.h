@@ -242,8 +242,6 @@ using EdgePushObserver = std::function<void(int stage, size_t batch_size)>;
 /// markers) go through the instance's mutex MPMC channel. Control elements
 /// travel the same per-sender source as that sender's records, so per-
 /// (port, sender) FIFO — all that marker alignment needs — is preserved.
-/// `use_spsc_rings = false` routes every edge through the mutex channel
-/// (the pre-ring data plane, kept for comparison and as the MPMC fallback).
 ///
 /// Emitted records are accumulated into per-(edge, target-instance) output
 /// buffers and shipped as ElementBatches: a buffer is flushed when it
@@ -259,8 +257,7 @@ class ThreadedRunner : public Runner {
   /// element-at-a-time behavior.
   ThreadedRunner(TopologySpec spec, SinkFn sink,
                  SnapshotFn snapshot = nullptr,
-                 size_t channel_capacity = 1024, size_t batch_size = 1,
-                 bool use_spsc_rings = true);
+                 size_t channel_capacity = 1024, size_t batch_size = 1);
   ~ThreadedRunner() override;
 
   /// Installs the per-edge push observer. Must be called before Start().
@@ -286,9 +283,8 @@ class ThreadedRunner : public Runner {
   /// Queued elements in one stage's inboxes (queue-depth gauges).
   size_t StageQueuedElements(int stage) const;
   /// Highest SPSC-ring fill fraction across one stage's instances, in
-  /// [0, 1] (the `edge.<stage>.ring_occupancy` gauge); 0 without rings.
+  /// [0, 1] (the `edge.<stage>.ring_occupancy` gauge).
   double StageRingOccupancy(int stage) const;
-  bool use_spsc_rings() const { return use_spsc_rings_; }
 
   /// Failure capture: a task body that throws (or observes an unexpected
   /// closed edge) poisons the runner instead of dying silently — the first
@@ -324,7 +320,6 @@ class ThreadedRunner : public Runner {
     // Touched only by this task's thread.
     std::vector<std::vector<ElementBatch>> out;
     // Producer handles into downstream inboxes, same indexing as `out`.
-    // Empty (ring mode off) => push via the target's external channel.
     std::vector<std::vector<SpscRing*>> out_rings;
   };
 
@@ -336,8 +331,7 @@ class ThreadedRunner : public Runner {
   void RouteControl(int stage, int instance, const StreamElement& el);
   void FlushBuffer(Task* task, int stage, size_t edge_idx, int target);
   void FlushTaskOutputs(Task* task, int stage);
-  /// Push along an internal edge: the producing task's dedicated SPSC ring
-  /// when rings are on, the target's mutex channel otherwise.
+  /// Push along an internal edge: the producing task's dedicated SPSC ring.
   void PushEdge(Task* task, int stage, size_t edge_idx, int target,
                 BatchEnvelope batch);
   /// Push from an external (non-task) producer: always the mutex channel.
@@ -350,7 +344,6 @@ class ThreadedRunner : public Runner {
   SnapshotFn snapshot_;
   const size_t channel_capacity_;
   const size_t batch_size_;
-  const bool use_spsc_rings_;
   EdgePushObserver edge_observer_;
   std::vector<std::vector<std::unique_ptr<Task>>> tasks_;
   std::vector<std::vector<internal::DownstreamEdge>> downstream_;

@@ -81,19 +81,26 @@ void CheckMetricsMatchRouter(bool threaded) {
   const auto sink_counts = RunAggregationWorkload(job.get(), &clock, &ids);
 
   const auto snap = job->MetricsSnapshot();
+  std::map<QueryId, std::vector<int64_t>> acked;  // deploy acks per query
+  for (const obs::TraceEvent& e : job->trace().Events()) {
+    if (e.kind == obs::TraceEventKind::kDeployAck) {
+      acked[e.query].push_back(e.detail);
+    }
+  }
   for (QueryId id : ids) {
     ASSERT_EQ(snap.queries.count(id), 1u) << "query " << id;
     const auto& series = snap.queries.at(id);
     const auto it = sink_counts.find(id);
     const int64_t at_sink = it == sink_counts.end() ? 0 : it->second;
-    // Router-side counter == records the sink callback saw == qos tally.
+    // Router-side counter == records the sink callback saw.
     EXPECT_EQ(series.records_emitted, at_sink) << "query " << id;
-    EXPECT_EQ(series.records_emitted, job->qos().OutputsOf(id))
-        << "query " << id;
     // Every emitted record passed through the event-latency histogram.
     EXPECT_EQ(series.event_latency_ms.count, series.records_emitted);
-    // Exactly one deployment (the create) was acked for each query.
+    // Exactly one deployment (the create) was acked for each query, and
+    // the trace's ack carries the latency the histogram recorded.
     EXPECT_EQ(series.deploy_latency_ms.count, 1) << "query " << id;
+    ASSERT_EQ(acked[id].size(), 1u) << "query " << id;
+    EXPECT_EQ(acked[id][0], series.deploy_latency_ms.sum) << "query " << id;
     EXPECT_GT(series.records_emitted, 0) << "query " << id;
   }
 

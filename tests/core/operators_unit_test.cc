@@ -1,10 +1,9 @@
 // Focused unit tests of the shared operators outside full topologies:
-// SharedSelection tagging, RouterOperator fan-out, and QoS statistics.
+// SharedSelection tagging and RouterOperator fan-out.
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/qos.h"
 #include "core/router.h"
 #include "core/shared_selection.h"
 
@@ -244,44 +243,6 @@ TEST(RouterOperatorTest, PortFilteredRouting) {
   r2.tags = QuerySet::AllSet(2);
   router.ProcessRecord(1, r2, &out);  // port 1 routes nothing raw
   EXPECT_TRUE(out.records.empty());
-}
-
-TEST(LatencyStatsTest, BasicMoments) {
-  LatencyStats stats;
-  for (int v : {10, 20, 30, 40}) stats.Add(v);
-  EXPECT_EQ(stats.count(), 4);
-  EXPECT_EQ(stats.min(), 10);
-  EXPECT_EQ(stats.max(), 40);
-  EXPECT_DOUBLE_EQ(stats.mean(), 25.0);
-  EXPECT_EQ(stats.Percentile(0), 10);
-  EXPECT_EQ(stats.Percentile(100), 40);
-  EXPECT_EQ(stats.Percentile(50), 20);
-}
-
-TEST(LatencyStatsTest, ThinsBeyondCap) {
-  LatencyStats stats;
-  for (int i = 0; i < 200'000; ++i) stats.Add(i);
-  EXPECT_EQ(stats.count(), 200'000);
-  EXPECT_EQ(stats.max(), 199'999);
-  // Percentiles remain sane after thinning.
-  EXPECT_NEAR(static_cast<double>(stats.Percentile(50)), 100'000, 5'000);
-}
-
-TEST(QosMonitorTest, PerQueryAccounting) {
-  QosMonitor qos;
-  qos.RecordOutput(1, 100, 150);
-  qos.RecordOutput(1, 110, 150);
-  qos.RecordOutput(2, 120, 150);
-  qos.RecordDeployment(1, 42);
-  EXPECT_EQ(qos.total_outputs(), 3);
-  EXPECT_EQ(qos.OutputsOf(1), 2);
-  EXPECT_EQ(qos.OutputsOf(2), 1);
-  EXPECT_EQ(qos.OutputsOf(99), 0);
-  const auto snap = qos.TakeSnapshot();
-  EXPECT_EQ(snap.event_time_latency.count(), 3);
-  EXPECT_EQ(snap.event_time_latency.max(), 50);
-  ASSERT_EQ(snap.deployment_events.size(), 1u);
-  EXPECT_EQ(snap.deployment_events[0].second, 42);
 }
 
 }  // namespace

@@ -176,7 +176,7 @@ TEST(AggStoreTest, SharedGroupPerTagSet) {
   s.Add(1, Bits({1}), 5);
   size_t groups_seen = 0;
   s.ForEachGroupsMerged(
-      [&](Value key, const AggStore::Group* groups, size_t n) {
+      [&](Value key, const AggStore::Group* /*groups*/, size_t n) {
         EXPECT_EQ(key, 1);
         groups_seen = n;
       });

@@ -72,8 +72,7 @@ Script MakeScript(Kind kind, uint64_t seed) {
 
 std::map<QueryId, RowMultiset> RunScript(const Script& script, Kind kind,
                                          bool threaded, int parallelism,
-                                         size_t batch_size = 1,
-                                         bool use_spsc_rings = true) {
+                                         size_t batch_size = 1) {
   ManualClock clock;
   AStreamJob::Options options;
   options.topology = kind;
@@ -82,7 +81,6 @@ std::map<QueryId, RowMultiset> RunScript(const Script& script, Kind kind,
   options.clock = &clock;
   options.session.batch_size = 1;
   options.batch_size = batch_size;
-  options.use_spsc_rings = use_spsc_rings;
   auto job = std::move(AStreamJob::Create(options)).value();
   EXPECT_TRUE(job->Start().ok());
 
@@ -197,11 +195,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(size_t{1}, size_t{7},
                                          size_t{64})));
 
-// The channel implementation must be invisible too: SPSC rings on internal
-// edges vs. the mutex MPMC channel everywhere produce identical per-query
+// The channel implementation must be invisible too: threaded runs over
+// SPSC rings on internal edges produce the sync reference's per-query
 // outputs — with batching and CoW rows active, and across the script's
 // mid-stream Submit/Cancel (per-(port,sender) FIFO keeps control elements
-// aligned with records on either channel kind).
+// aligned with records).
 class RingEquivalence
     : public ::testing::TestWithParam<std::tuple<int, size_t>> {};
 
@@ -211,13 +209,8 @@ TEST_P(RingEquivalence, AggregationTopology) {
   const auto reference =
       RunScript(script, Kind::kAggregation, /*threaded=*/false, par);
   const auto with_rings = RunScript(script, Kind::kAggregation,
-                                    /*threaded=*/true, par, batch,
-                                    /*use_spsc_rings=*/true);
-  const auto without_rings = RunScript(script, Kind::kAggregation,
-                                       /*threaded=*/true, par, batch,
-                                       /*use_spsc_rings=*/false);
+                                    /*threaded=*/true, par, batch);
   EXPECT_EQ(reference, with_rings);
-  EXPECT_EQ(reference, without_rings);
   int64_t total = 0;
   for (const auto& [id, rows] : reference) {
     for (const auto& [row, n] : rows) total += n;
@@ -231,13 +224,8 @@ TEST_P(RingEquivalence, JoinTopology) {
   const auto reference =
       RunScript(script, Kind::kJoin, /*threaded=*/false, par);
   const auto with_rings =
-      RunScript(script, Kind::kJoin, /*threaded=*/true, par, batch,
-                /*use_spsc_rings=*/true);
-  const auto without_rings =
-      RunScript(script, Kind::kJoin, /*threaded=*/true, par, batch,
-                /*use_spsc_rings=*/false);
+      RunScript(script, Kind::kJoin, /*threaded=*/true, par, batch);
   EXPECT_EQ(reference, with_rings);
-  EXPECT_EQ(reference, without_rings);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -41,7 +41,11 @@ TEST(BaselineSutTest, DeploysAndProducesResults) {
   }
   sut.PushWatermark(base + 1000);
   sut.FinishAndWait();
-  EXPECT_GT(sut.qos().OutputsOf(*id), 0);
+  const QosView qos = sut.qos();
+  EXPECT_GT(qos.OutputsOf(*id), 0);
+  EXPECT_EQ(qos.TotalOutputs(), qos.OutputsOf(*id));
+  // Every output passed through the query's event-latency histogram.
+  EXPECT_EQ(qos.EventLatency().count, qos.OutputsOf(*id));
 }
 
 TEST(BaselineSutTest, DeploymentsSerializeAndCost) {
@@ -59,10 +63,10 @@ TEST(BaselineSutTest, DeploymentsSerializeAndCost) {
   EXPECT_GE(elapsed, 4 * 30);  // serialized: at least 4 x cost
   EXPECT_EQ(sut.num_active_jobs(), 4u);
   // Deployment latencies recorded and increasing (queueing).
-  const auto snap = sut.qos().TakeSnapshot();
-  ASSERT_EQ(snap.deployment_events.size(), 4u);
-  EXPECT_GT(snap.deployment_events.back().second,
-            snap.deployment_events.front().second);
+  const QosView qos = sut.qos();
+  ASSERT_EQ(qos.deploy_acks.size(), 4u);
+  EXPECT_GT(qos.deploy_acks.back().second, qos.deploy_acks.front().second);
+  EXPECT_EQ(qos.DeployLatency().count, 4);
   sut.Stop();
 }
 
@@ -96,6 +100,42 @@ TEST(BaselineSutTest, JoinJobGetsBothStreams) {
   sut.PushB(base + 2, Row{7, 2});
   sut.FinishAndWait();
   EXPECT_EQ(sut.qos().OutputsOf(*id), 1);
+}
+
+TEST(AStreamSutTest, QosReadsMetricsAndDeployAcks) {
+  ManualClock clock;
+  core::AStreamJob::Options options;
+  options.topology = core::AStreamJob::TopologyKind::kAggregation;
+  options.clock = &clock;
+  options.session.batch_size = 1;
+  AStreamSut sut(options);
+  ASSERT_TRUE(sut.Start().ok());
+  QueryDescriptor selection;
+  selection.kind = QueryKind::kSelection;
+  selection.select_a = {Predicate{1, CmpOp::kGe, 0}};
+  auto first = sut.Submit(selection);
+  auto second = sut.Submit(AggQuery());
+  ASSERT_TRUE(first.ok() && second.ok());
+  clock.SetMs(7);
+  ASSERT_TRUE(sut.WaitDeployed(5'000));
+  for (TimestampMs t = 10; t < 30; ++t) {
+    clock.SetMs(t + 5);  // every result leaves 5 ms after its event time
+    sut.PushA(t, Row{1, 2});
+  }
+  sut.FinishAndWait();
+
+  const QosView qos = sut.qos();
+  EXPECT_EQ(qos.OutputsOf(*first), 20);
+  EXPECT_GT(qos.OutputsOf(*second), 0);
+  EXPECT_EQ(qos.TotalOutputs(), qos.OutputsOf(*first) + qos.OutputsOf(*second));
+  EXPECT_EQ(qos.EventLatency().count, qos.TotalOutputs());
+  // Deploy acks in arrival order, one per create, matching the histogram.
+  ASSERT_EQ(qos.deploy_acks.size(), 2u);
+  EXPECT_EQ(qos.deploy_acks[0].first, *first);
+  EXPECT_EQ(qos.deploy_acks[1].first, *second);
+  EXPECT_EQ(qos.DeployLatency().count, 2);
+  EXPECT_EQ(qos.DeployLatency().sum,
+            qos.deploy_acks[0].second + qos.deploy_acks[1].second);
 }
 
 TEST(DriverTest, RunsScenarioAndReports) {

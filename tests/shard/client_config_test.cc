@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/job_config.h"
+#include "core/query_builder.h"
 #include "spe/state.h"
 
 namespace astream {
@@ -168,9 +169,8 @@ TEST(ClientTest, CreateRejectsInvalidConfig) {
 
 using Outputs = std::map<QueryId, std::multiset<std::pair<spe::Value, spe::Value>>>;
 
-// Drives a tiny selection workload through the client, using the generic
-// Push surface or the deprecated PushA/PushB shims.
-Outputs RunSmall(ManualClock* clock, int shards, bool use_shims) {
+// Drives a tiny selection workload through the client's generic Push.
+Outputs RunSmall(ManualClock* clock, int shards) {
   JobConfig config = ValidBase();
   config.job.clock = clock;
   config.shards = shards;
@@ -189,25 +189,20 @@ Outputs RunSmall(ManualClock* clock, int shards, bool use_shims) {
   for (spe::Value key = 0; key < 24; ++key) {
     clock->SetMs(5 + key);
     const spe::Value value = key * 7 % 50;
-    if (use_shims) {
-      client->PushA(5 + key, Row{key, value});
-      client->PushB(5 + key, Row{key, value + 1});
-    } else {
-      client->Push(StreamId::kA, 5 + key, Row{key, value});
-      client->Push(StreamId::kB, 5 + key, Row{key, value + 1});
-    }
+    client->Push(StreamId::kA, 5 + key, Row{key, value});
+    client->Push(StreamId::kB, 5 + key, Row{key, value + 1});
   }
   EXPECT_TRUE(client->FinishAndWait().ok());
   return outputs;
 }
 
-TEST(ClientTest, PushShimsAreEquivalentToGenericPush) {
+TEST(ClientTest, ShardCountIsInvisibleToGenericPush) {
   ManualClock clock_a;
   ManualClock clock_b;
-  const Outputs generic = RunSmall(&clock_a, 2, /*use_shims=*/false);
-  const Outputs shimmed = RunSmall(&clock_b, 2, /*use_shims=*/true);
-  EXPECT_FALSE(generic.empty());
-  EXPECT_EQ(generic, shimmed);
+  const Outputs one_shard = RunSmall(&clock_a, 1);
+  const Outputs two_shards = RunSmall(&clock_b, 2);
+  EXPECT_FALSE(one_shard.empty());
+  EXPECT_EQ(one_shard, two_shards);
 }
 
 TEST(ClientTest, MergedMetricsSumAcrossShards) {
@@ -258,10 +253,83 @@ TEST(ClientTest, MergedMetricsSumAcrossShards) {
     EXPECT_EQ(value.count, count) << "histogram " << name;
   }
 
-  // Router-level QoS saw every delivered record exactly once.
-  const auto qos = client->QosSnapshot();
-  EXPECT_EQ(qos.total_outputs, 40);
+  // The merged per-query series counted every delivered record exactly
+  // once; nothing was split, so the egress filter dropped nothing.
+  int64_t emitted = 0;
+  int64_t latencies = 0;
+  for (const auto& [id, series] : merged.queries) {
+    emitted += series.records_emitted;
+    latencies += series.event_latency_ms.count;
+  }
+  EXPECT_EQ(emitted, 40);
+  EXPECT_EQ(latencies, 40);
+  EXPECT_EQ(merged.counters.at("shard.egress_dropped"), 0);
 }
+
+// Every OperatorStats field, for the field-wise merge check below.
+#define ASTREAM_OPERATOR_STATS_FIELDS(X)                                    \
+  X(queryset_nanos) X(fanout_nanos) X(bitset_ops) X(join_pairs_computed)    \
+  X(join_pairs_reused) X(records_late) X(selection_records_in)              \
+  X(selection_records_out) X(router_records_out) X(router_rows_shared)      \
+  X(router_rows_copied) X(state_arena_bytes) X(reload_saves)                \
+  X(arrange_memo_hits) X(arrange_memo_misses) X(arrange_memo_bytes)         \
+  X(factor_rewrites) X(factor_reuses) X(factor_fallbacks)                   \
+  X(mjoin_chains_computed) X(mjoin_chains_reused) X(subjoins_built)         \
+  X(subjoins_attached) X(subjoin_nodes)
+
+#define ASTREAM_COUNT_FIELD(f) +1
+// A new OperatorStats field must join the list above.
+static_assert(sizeof(AStreamJob::OperatorStats) ==
+              (0 ASTREAM_OPERATOR_STATS_FIELDS(ASTREAM_COUNT_FIELD)) *
+                  sizeof(int64_t));
+
+TEST(ClientTest, CollectStatsMergesEveryFieldAcrossShards) {
+  ManualClock clock;
+  JobConfig config = ValidBase();
+  config.job.topology = AStreamJob::TopologyKind::kMultiway;
+  config.job.num_streams = 3;
+  config.job.clock = &clock;
+  // One changelog for the whole fleet: aligned windows share triggers.
+  config.job.session.batch_size = 16;
+  config.shards = 2;
+  auto client = std::move(Client::Create(std::move(config))).value();
+  ASSERT_TRUE(client->Start().ok());
+  // Two 3-way joins over one core and a 2-way join on its prefix: the
+  // later plans attach to the first one's sub-join, and the 3-way chain
+  // reuses the memoized 2-way prefix on every shared trigger.
+  for (int legs : {3, 3, 2}) {
+    auto b = core::QueryBuilder::MultiwayJoin();
+    for (int s = 0; s < legs; ++s) b.Input(s);
+    b.TumblingWindow(60);
+    auto q = b.Build();
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    ASSERT_TRUE(client->Submit(*q).ok());
+  }
+  client->Pump(true);
+  for (TimestampMs t = 5; t < 400; ++t) {
+    clock.SetMs(t);
+    client->Push(static_cast<StreamId>(t % 3), t, Row{t / 3 % 6, t});
+    if (t % 20 == 0) client->PushWatermark(t);
+  }
+  ASSERT_TRUE(client->FinishAndWait().ok());
+
+  const AStreamJob::OperatorStats merged = client->CollectStats();
+  const AStreamJob::OperatorStats s0 =
+      client->router()->shard(0)->CollectStats();
+  const AStreamJob::OperatorStats s1 =
+      client->router()->shard(1)->CollectStats();
+#define ASTREAM_EXPECT_SUM(f) EXPECT_EQ(merged.f, s0.f + s1.f) << #f;
+  ASTREAM_OPERATOR_STATS_FIELDS(ASTREAM_EXPECT_SUM)
+#undef ASTREAM_EXPECT_SUM
+  // The multiway and memo counters the merge used to drop are live here.
+  EXPECT_GT(merged.mjoin_chains_computed, 0);
+  EXPECT_GT(merged.mjoin_chains_reused, 0);
+  EXPECT_GT(merged.subjoins_attached, 0);
+  EXPECT_GT(merged.arrange_memo_hits, 0);
+}
+
+#undef ASTREAM_COUNT_FIELD
+#undef ASTREAM_OPERATOR_STATS_FIELDS
 
 }  // namespace
 }  // namespace astream
