@@ -88,7 +88,7 @@ RunStats RunOnce(int num_specs, bool share) {
   for (int i = 0; i < kRows; ++i) {
     const TimestampMs t = 2 + i;
     clock.SetMs(t);
-    job->PushA(t, Row{i % kKeys, i % 1000});
+    job->Push(0, t, Row{i % kKeys, i % 1000});
     if (i % 2000 == 1999) job->PushWatermark(t - 12 * kSlide);
     if (i % 1000 == 999) {
       const auto snapshot = job->MetricsSnapshot();

@@ -86,9 +86,9 @@ Outcome RunOnce(int checkpoint_interval, int num_records) {
     clock.SetMs(t);
     const Row row{rng.UniformInt(0, 6), rng.UniformInt(0, 99)};
     if (rng.Bernoulli(0.5)) {
-      job.PushB(t, row);
+      job.Push(1, t, row);
     } else {
-      job.PushA(t, row);
+      job.Push(0, t, row);
     }
     if (i % 20 == 19) {
       job.PushWatermark(t);

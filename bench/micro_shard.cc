@@ -117,9 +117,9 @@ RunStats RunReference() {
   Stream(
       [&job](StreamId stream, TimestampMs t, Row row) {
         if (stream == StreamId::kA) {
-          job->PushA(t, std::move(row));
+          job->Push(0, t, std::move(row));
         } else {
-          job->PushB(t, std::move(row));
+          job->Push(1, t, std::move(row));
         }
       },
       [&job](TimestampMs t) { job->PushWatermark(t); }, &clock, nullptr);

@@ -94,9 +94,9 @@ RunStats RunOnce(int64_t budget_bytes, bool compress = true,
     values[1] = i % 100;
     Row row(std::move(values));
     if (i % 2 == 0) {
-      job->PushA(t, std::move(row));
+      job->Push(0, t, std::move(row));
     } else {
-      job->PushB(t, std::move(row));
+      job->Push(1, t, std::move(row));
     }
     if (i % 2000 == 1999) job->PushWatermark(t - kWindow);
     if (i % 1000 == 999) {

@@ -123,8 +123,8 @@ spe::TopologySpec AStreamJob::BuildTopology() {
       sel.parallelism = par;
       sel.factory = selection_factory(StreamSide::kA);
       const int s_sel = spec.AddStage(std::move(sel));
-      input_a_ = spec.AddExternalInput(
-          {"stream-a", s_sel, 0, spe::Partitioning::kHash});
+      inputs_.push_back(spec.AddExternalInput(
+          {"stream-a", s_sel, 0, spe::Partitioning::kHash}));
 
       spe::StageSpec agg;
       agg.name = "shared-aggregation";
@@ -188,16 +188,16 @@ spe::TopologySpec AStreamJob::BuildTopology() {
       sel_a.parallelism = par;
       sel_a.factory = selection_factory(StreamSide::kA);
       const int s_sel_a = spec.AddStage(std::move(sel_a));
-      input_a_ = spec.AddExternalInput(
-          {"stream-a", s_sel_a, 0, spe::Partitioning::kHash});
+      inputs_.push_back(spec.AddExternalInput(
+          {"stream-a", s_sel_a, 0, spe::Partitioning::kHash}));
 
       spe::StageSpec sel_b;
       sel_b.name = "shared-selection-b";
       sel_b.parallelism = par;
       sel_b.factory = selection_factory(StreamSide::kB);
       const int s_sel_b = spec.AddStage(std::move(sel_b));
-      input_b_ = spec.AddExternalInput(
-          {"stream-b", s_sel_b, 0, spe::Partitioning::kHash});
+      inputs_.push_back(spec.AddExternalInput(
+          {"stream-b", s_sel_b, 0, spe::Partitioning::kHash}));
 
       spe::StageSpec join;
       join.name = "shared-join";
@@ -254,16 +254,16 @@ spe::TopologySpec AStreamJob::BuildTopology() {
       sel_a.parallelism = par;
       sel_a.factory = selection_factory(StreamSide::kA);
       const int s_sel_a = spec.AddStage(std::move(sel_a));
-      input_a_ = spec.AddExternalInput(
-          {"stream-a", s_sel_a, 0, spe::Partitioning::kHash});
+      inputs_.push_back(spec.AddExternalInput(
+          {"stream-a", s_sel_a, 0, spe::Partitioning::kHash}));
 
       spe::StageSpec sel_b;
       sel_b.name = "shared-selection-b";
       sel_b.parallelism = par;
       sel_b.factory = selection_factory(StreamSide::kB);
       const int s_sel_b = spec.AddStage(std::move(sel_b));
-      input_b_ = spec.AddExternalInput(
-          {"stream-b", s_sel_b, 0, spe::Partitioning::kHash});
+      inputs_.push_back(spec.AddExternalInput(
+          {"stream-b", s_sel_b, 0, spe::Partitioning::kHash}));
 
       std::vector<int> join_stages;
       int left_input = s_sel_a;
@@ -393,8 +393,6 @@ spe::TopologySpec AStreamJob::BuildTopology() {
             {"stream-" + std::to_string(s), s_sel, 0,
              spe::Partitioning::kHash}));
       }
-      input_a_ = inputs_[0];
-      input_b_ = inputs_.size() > 1 ? inputs_[1] : -1;
 
       spe::StageSpec join;
       join.name = "shared-multiway-join";
@@ -447,13 +445,6 @@ spe::TopologySpec AStreamJob::BuildTopology() {
       break;
     }
   }
-  if (inputs_.empty()) {
-    // Two-stream topologies: the generic Push(stream, ...) surface maps
-    // stream 0 -> A and stream 1 -> B.
-    inputs_.push_back(input_a_);
-    if (input_b_ >= 0) inputs_.push_back(input_b_);
-  }
-
   total_instances_ = 0;
   for (const auto& s : spec.stages()) total_instances_ += s.parallelism;
   return spec;
@@ -554,28 +545,13 @@ TimestampMs AStreamJob::ClampToMarkers(TimestampMs event_time) {
   return std::max(event_time, session_.last_marker_time());
 }
 
-PushResult AStreamJob::PushA(TimestampMs event_time, spe::Row row) {
-  return PushTo(input_a_, event_time, std::move(row));
-}
-
-PushResult AStreamJob::PushB(TimestampMs event_time, spe::Row row) {
-  return PushTo(input_b_, event_time, std::move(row));
-}
-
 PushResult AStreamJob::Push(int stream, TimestampMs event_time,
                             spe::Row row) {
-  if (stream < 0 || stream >= static_cast<int>(inputs_.size())) {
-    if (m_push_shutdown_ != nullptr) m_push_shutdown_->Add();
-    return PushResult::kShutdown;
-  }
-  return PushTo(inputs_[stream], event_time, std::move(row));
-}
-
-PushResult AStreamJob::PushTo(int input, TimestampMs event_time,
-                              spe::Row row) {
-  if (input < 0 || !started_ || finished_ || runner_->Failed()) {
-    // Permanent refusal: there is nothing to retry against. A poisoned
-    // runner refuses immediately instead of blocking on dead consumers.
+  if (stream < 0 || stream >= static_cast<int>(inputs_.size()) ||
+      !started_ || finished_ || runner_->Failed()) {
+    // Permanent refusal: there is nothing to retry against (no such
+    // stream, or the job is not running). A poisoned runner refuses
+    // immediately instead of blocking on dead consumers.
     if (m_push_shutdown_ != nullptr) m_push_shutdown_->Add();
     return PushResult::kShutdown;
   }
@@ -587,6 +563,7 @@ PushResult AStreamJob::PushTo(int input, TimestampMs event_time,
     return PushResult::kBackpressure;
   }
   const TimestampMs pushed_time = ClampToMarkers(event_time);
+  const int input = inputs_[static_cast<size_t>(stream)];
 
   bool ok = true;
   if (options_.batch_size <= 1) {

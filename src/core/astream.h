@@ -95,7 +95,7 @@ class AStreamJob {
     /// Out-of-core state (DESIGN.md §10): when the resolved memory budget
     /// is > 0 the job creates a spill space + governor and the shared
     /// operators shed their coldest slices to disk under pressure (or, with
-    /// allow_spill = false, PushA/PushB report kBackpressure instead).
+    /// allow_spill = false, Push reports kBackpressure instead).
     /// Default: ASTREAM_MEMORY_BUDGET from the environment, else unlimited
     /// (no storage engine, the pre-out-of-core behavior).
     storage::StorageOptions storage;
@@ -124,15 +124,14 @@ class AStreamJob {
 
   Status Start();
 
-  /// Data input (event-time order per stream). Stream B exists only for
-  /// join/complex/multiway topologies; streams 2.. only on kMultiway jobs
-  /// with that many streams. Returns kBackpressure when the tuple was
-  /// refused (job not started / finished / cancelled; no such stream) and
-  /// kLateClamped when the event time was nudged onto the latest changelog
-  /// marker (see PushResult).
+  /// Data input on `stream` (0 = A, 1 = B), in event-time order per
+  /// stream. Stream 1 exists only for join/complex/multiway topologies;
+  /// streams 2.. only on kMultiway jobs with that many streams. Returns
+  /// kShutdown when the tuple was refused for good (job not started /
+  /// finished / failed; no such stream), kBackpressure when the memory
+  /// budget refused it (retryable), and kLateClamped when the event time
+  /// was nudged onto the latest changelog marker (see PushResult).
   PushResult Push(int stream, TimestampMs event_time, spe::Row row);
-  PushResult PushA(TimestampMs event_time, spe::Row row);
-  PushResult PushB(TimestampMs event_time, spe::Row row);
   /// Advances the watermark on all input streams.
   void PushWatermark(TimestampMs watermark);
 
@@ -292,7 +291,6 @@ class AStreamJob {
   double LiveP99() const;
   /// State-byte shares across the windowed operators (ops_mutex_).
   std::map<QueryId, int64_t> ComputeStateShares() const;
-  PushResult PushTo(int input, TimestampMs event_time, spe::Row row);
   /// Ships all buffered source tuples downstream as batches. Called before
   /// watermarks, markers, and shutdown — the batch-boundary rule.
   void FlushSourceBatches();
@@ -347,11 +345,8 @@ class AStreamJob {
   std::unique_ptr<spe::Runner> runner_;
 
   // Stage indices (filled by BuildTopology). `inputs_[s]` is the external
-  // input index of stream s; input_a_/input_b_ mirror entries 0/1 for the
-  // legacy shims.
+  // input index of stream s (0 = A, 1 = B on the two-stream topologies).
   int stage_router_ = -1;
-  int input_a_ = -1;
-  int input_b_ = -1;
   std::vector<int> inputs_;
   size_t total_instances_ = 0;
 

@@ -55,8 +55,9 @@ class IsolationManager {
   Result<AStreamJob::SubmitOutcome> SubmitWithOutcome(
       const QueryDescriptor& desc);
   Status Cancel(QueryId id);
-  PushResult PushA(TimestampMs event_time, spe::Row row);
-  PushResult PushB(TimestampMs event_time, spe::Row row);
+  /// Feeds the primary job and, while a whale is ejected, its dedicated
+  /// job too.
+  PushResult Push(int stream, TimestampMs event_time, spe::Row row);
   void PushWatermark(TimestampMs watermark);
   int Pump(bool force = false);
   void SetResultCallback(AStreamJob::ResultCallback callback);

@@ -10,10 +10,10 @@
 
 namespace astream {
 
-/// External input stream of a job. Replaces the hardwired PushA/PushB
-/// pair: `Client::Push(StreamId::kA, t, row)` is the generic surface, the
-/// old names survive as thin compat shims on the facade. Streams kC..kE
-/// exist only on kMultiway topologies (Options::num_streams).
+/// External input stream of a job: `Client::Push(StreamId::kA, t, row)`
+/// is the one data surface, down to `AStreamJob::Push(int stream, ...)`.
+/// Streams kC..kE exist only on kMultiway topologies
+/// (Options::num_streams).
 enum class StreamId : int { kA = 0, kB = 1, kC = 2, kD = 3, kE = 4 };
 
 /// One validated configuration for a whole deployment: the per-shard

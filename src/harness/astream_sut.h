@@ -21,11 +21,9 @@ class AStreamSut : public StreamSut {
     return job_->Start();
   }
 
-  core::PushResult PushA(TimestampMs event_time, spe::Row row) override {
-    return job_->PushA(event_time, std::move(row));
-  }
-  core::PushResult PushB(TimestampMs event_time, spe::Row row) override {
-    return job_->PushB(event_time, std::move(row));
+  core::PushResult Push(int stream, TimestampMs event_time,
+                        spe::Row row) override {
+    return job_->Push(stream, event_time, std::move(row));
   }
   void PushWatermark(TimestampMs watermark) override {
     job_->PushWatermark(watermark);

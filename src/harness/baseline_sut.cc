@@ -185,7 +185,7 @@ void BaselineSut::DeployWorker() {
         job->id = req.id;
         job->desc = req.desc;
         job->runner = std::move(runner).value();
-        job->has_b_input = req.desc.HasJoin();
+        job->num_inputs = req.desc.HasJoin() ? 2 : 1;
         std::lock_guard<std::mutex> lock(mutex_);
         jobs_[req.id] = std::move(job);
       } else {
@@ -225,17 +225,12 @@ BaselineSut::SnapshotJobs() const {
   return out;
 }
 
-core::PushResult BaselineSut::PushA(TimestampMs event_time, spe::Row row) {
+core::PushResult BaselineSut::Push(int stream, TimestampMs event_time,
+                                   spe::Row row) {
   for (const auto& job : SnapshotJobs()) {
-    job->runner->Push(0, spe::StreamElement::MakeRecord(event_time, row));
-  }
-  return core::PushResult::kAccepted;
-}
-
-core::PushResult BaselineSut::PushB(TimestampMs event_time, spe::Row row) {
-  for (const auto& job : SnapshotJobs()) {
-    if (!job->has_b_input) continue;
-    job->runner->Push(1, spe::StreamElement::MakeRecord(event_time, row));
+    if (stream < 0 || stream >= job->num_inputs) continue;
+    job->runner->Push(stream,
+                      spe::StreamElement::MakeRecord(event_time, row));
   }
   return core::PushResult::kAccepted;
 }
@@ -243,9 +238,8 @@ core::PushResult BaselineSut::PushB(TimestampMs event_time, spe::Row row) {
 void BaselineSut::PushWatermark(TimestampMs watermark) {
   last_watermark_ = watermark;
   for (const auto& job : SnapshotJobs()) {
-    job->runner->Push(0, spe::StreamElement::MakeWatermark(watermark));
-    if (job->has_b_input) {
-      job->runner->Push(1, spe::StreamElement::MakeWatermark(watermark));
+    for (int s = 0; s < job->num_inputs; ++s) {
+      job->runner->Push(s, spe::StreamElement::MakeWatermark(watermark));
     }
   }
 }

@@ -114,10 +114,10 @@ Driver::Report Driver::Run() {
     for (int64_t i = 0; i < to_push; ++i) {
       core::PushResult result;
       if (config_.push_b && push_to_b) {
-        result = sut_->PushB(now, gen_b.Next());
+        result = sut_->Push(1, now, gen_b.Next());
         ++report.pushed_b;
       } else {
-        result = sut_->PushA(now, gen_a.Next());
+        result = sut_->Push(0, now, gen_a.Next());
         ++report.pushed_a;
       }
       if (result == core::PushResult::kLateClamped) {

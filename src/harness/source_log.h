@@ -1,8 +1,7 @@
 #ifndef ASTREAM_HARNESS_SOURCE_LOG_H_
 #define ASTREAM_HARNESS_SOURCE_LOG_H_
 
-#include <algorithm>
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -22,18 +21,11 @@ namespace astream::harness {
 /// (entries carry the wall-clock time to re-pin a ManualClock to).
 class SourceLog {
  public:
-  struct Entry {
-    enum Kind {
-      kRecordA,
-      kRecordB,
-      kWatermark,
-      kSubmit,      // an accepted ad-hoc query submission
-      kCancel,      // an accepted cancellation
-      kCheckpoint,  // a triggered checkpoint barrier
-    } kind = kRecordA;
-    TimestampMs time = 0;
-    spe::Row row;
-    // Control-plane fields (kSubmit/kCancel/kCheckpoint).
+  /// Control-plane payload of a kSubmit/kCancel/kCheckpoint entry. Kept out
+  /// of line: data and watermark entries — nearly every entry — carry none
+  /// of it, and a supervised job logs every input row until the next
+  /// checkpoint, so the inline Entry size is the log's memory bound.
+  struct Control {
     TimestampMs wall_ms = 0;      // wall clock of the original call
     core::QueryDescriptor desc;   // kSubmit
     core::QueryId query_id = -1;  // kSubmit (assigned id) / kCancel
@@ -41,16 +33,24 @@ class SourceLog {
     int64_t offset = 0;           // kCheckpoint: log end offset at barrier
   };
 
-  void LogA(TimestampMs time, spe::Row row) {
+  struct Entry {
+    enum Kind : uint8_t {
+      kRecord,      // a data row on `stream`
+      kWatermark,
+      kSubmit,      // an accepted ad-hoc query submission
+      kCancel,      // an accepted cancellation
+      kCheckpoint,  // a triggered checkpoint barrier
+    } kind = kRecord;
+    int32_t stream = 0;    // kRecord
+    TimestampMs time = 0;  // kRecord event time / kWatermark
+    spe::Row row;          // kRecord
+    std::unique_ptr<const Control> control;  // control-plane kinds only
+  };
+
+  void LogRecord(int stream, TimestampMs time, spe::Row row) {
     Entry e;
-    e.kind = Entry::kRecordA;
-    e.time = time;
-    e.row = std::move(row);
-    entries_.push_back(std::move(e));
-  }
-  void LogB(TimestampMs time, spe::Row row) {
-    Entry e;
-    e.kind = Entry::kRecordB;
+    e.kind = Entry::kRecord;
+    e.stream = stream;
     e.time = time;
     e.row = std::move(row);
     entries_.push_back(std::move(e));
@@ -63,28 +63,25 @@ class SourceLog {
   }
   void LogSubmit(TimestampMs wall_ms, const core::QueryDescriptor& desc,
                  core::QueryId id) {
-    Entry e;
-    e.kind = Entry::kSubmit;
-    e.wall_ms = wall_ms;
-    e.desc = desc;
-    e.query_id = id;
-    entries_.push_back(std::move(e));
+    Control c;
+    c.wall_ms = wall_ms;
+    c.desc = desc;
+    c.query_id = id;
+    LogControl(Entry::kSubmit, std::move(c));
   }
   void LogCancel(TimestampMs wall_ms, core::QueryId id) {
-    Entry e;
-    e.kind = Entry::kCancel;
-    e.wall_ms = wall_ms;
-    e.query_id = id;
-    entries_.push_back(std::move(e));
+    Control c;
+    c.wall_ms = wall_ms;
+    c.query_id = id;
+    LogControl(Entry::kCancel, std::move(c));
   }
   void LogCheckpoint(TimestampMs wall_ms, int64_t checkpoint_id,
                      int64_t offset) {
-    Entry e;
-    e.kind = Entry::kCheckpoint;
-    e.wall_ms = wall_ms;
-    e.checkpoint_id = checkpoint_id;
-    e.offset = offset;
-    entries_.push_back(std::move(e));
+    Control c;
+    c.wall_ms = wall_ms;
+    c.checkpoint_id = checkpoint_id;
+    c.offset = offset;
+    LogControl(Entry::kCheckpoint, std::move(c));
   }
 
   /// Entry at an absolute offset in [first_offset(), EndOffset()).
@@ -97,37 +94,13 @@ class SourceLog {
     return truncated_ + static_cast<int64_t>(entries_.size());
   }
 
-  /// Re-pushes *data* entries [from, EndOffset()) into `job`. `from` is an
-  /// absolute offset; it must not be below first_offset(). Control-plane
-  /// entries are skipped — SupervisedJob's replay handles those (they need
-  /// clock pinning and id assertions the raw log cannot do).
-  void Replay(core::AStreamJob* job, int64_t from) const {
-    const auto start =
-        static_cast<size_t>(std::max<int64_t>(0, from - truncated_));
-    for (size_t i = start; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      switch (e.kind) {
-        case Entry::kRecordA:
-          job->PushA(e.time, e.row);
-          break;
-        case Entry::kRecordB:
-          job->PushB(e.time, e.row);
-          break;
-        case Entry::kWatermark:
-          job->PushWatermark(e.time);
-          break;
-        case Entry::kSubmit:
-        case Entry::kCancel:
-        case Entry::kCheckpoint:
-          break;
-      }
-    }
-  }
-
+  /// Bytes held: every entry inline, its row's columns, and the
+  /// out-of-line control payload of control-plane entries.
   size_t SizeBytes() const {
     size_t n = 0;
     for (const Entry& e : entries_) {
       n += sizeof(Entry) + e.row.NumColumns() * sizeof(spe::Value);
+      if (e.control != nullptr) n += sizeof(Control);
     }
     return n;
   }
@@ -157,90 +130,15 @@ class SourceLog {
   }
 
  private:
+  void LogControl(Entry::Kind kind, Control control) {
+    Entry e;
+    e.kind = kind;
+    e.control = std::make_unique<const Control>(std::move(control));
+    entries_.push_back(std::move(e));
+  }
+
   std::vector<Entry> entries_;  // index i holds offset truncated_ + i
   int64_t truncated_ = 0;
-};
-
-/// An AStreamJob wired to a SourceLog: pushes are logged, checkpoints
-/// record the input offset, and Recover() stands up a fresh job from the
-/// latest complete checkpoint and replays the tail — the full
-/// exactly-once recovery loop of Sec. 3.3 in one object.
-///
-/// Single control thread, like AStreamJob itself.
-class RecoverableJob {
- public:
-  explicit RecoverableJob(core::AStreamJob::Options options)
-      : options_(options) {}
-
-  Status Start() {
-    auto job = core::AStreamJob::Create(options_);
-    ASTREAM_RETURN_IF_ERROR(job.status());
-    job_ = std::move(job).value();
-    return job_->Start();
-  }
-
-  core::PushResult PushA(TimestampMs t, spe::Row row) {
-    log_.LogA(t, row);
-    return job_->PushA(t, std::move(row));
-  }
-  core::PushResult PushB(TimestampMs t, spe::Row row) {
-    log_.LogB(t, row);
-    return job_->PushB(t, std::move(row));
-  }
-  void PushWatermark(TimestampMs wm) {
-    log_.LogWatermark(wm);
-    job_->PushWatermark(wm);
-  }
-
-  /// Takes a checkpoint and remembers the source offset it covers.
-  int64_t Checkpoint() {
-    const int64_t offset = log_.EndOffset();
-    const int64_t id = job_->TriggerCheckpoint();
-    checkpoint_offsets_[id] = offset;
-    return id;
-  }
-
-  /// Simulates a crash + recovery: discards the running job, builds a
-  /// fresh one, restores the latest complete checkpoint (operators AND
-  /// session), and replays the input tail from the logged offset.
-  Status Recover() {
-    auto checkpoint = job_->checkpoints().LatestComplete();
-    if (checkpoint == nullptr) {
-      return Status::FailedPrecondition("no complete checkpoint");
-    }
-    auto offset_it = checkpoint_offsets_.find(checkpoint->id);
-    if (offset_it == checkpoint_offsets_.end()) {
-      return Status::Internal("checkpoint has no recorded source offset");
-    }
-    // Keep the old job's checkpoint store alive through recovery.
-    const auto snapshot = *checkpoint;
-    core::AStreamJob::ResultCallback callback = callback_;
-    job_->Stop();
-
-    auto job = core::AStreamJob::Create(options_);
-    ASTREAM_RETURN_IF_ERROR(job.status());
-    job_ = std::move(job).value();
-    ASTREAM_RETURN_IF_ERROR(job_->Start());
-    if (callback) job_->SetResultCallback(callback);
-    ASTREAM_RETURN_IF_ERROR(job_->RestoreFrom(snapshot));
-    log_.Replay(job_.get(), offset_it->second);
-    return Status::OK();
-  }
-
-  void SetResultCallback(core::AStreamJob::ResultCallback callback) {
-    callback_ = callback;
-    job_->SetResultCallback(std::move(callback));
-  }
-
-  core::AStreamJob* job() { return job_.get(); }
-  SourceLog& log() { return log_; }
-
- private:
-  core::AStreamJob::Options options_;
-  std::unique_ptr<core::AStreamJob> job_;
-  core::AStreamJob::ResultCallback callback_;
-  SourceLog log_;
-  std::map<int64_t, int64_t> checkpoint_offsets_;
 };
 
 }  // namespace astream::harness

@@ -110,29 +110,18 @@ Status SupervisedJob::EnsureHealthyLocked() {
   return supervisor_->RecoverNow(job_->Health());
 }
 
-core::PushResult SupervisedJob::PushA(TimestampMs t, spe::Row row) {
+core::PushResult SupervisedJob::Push(int stream, TimestampMs t,
+                                     spe::Row row) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!started_ || finished_ || !EnsureHealthyLocked().ok()) {
+  if (!started_ || finished_ || !EnsureHealthyLocked().ok() ||
+      stream < 0 || stream >= job_->NumInputStreams()) {
     return core::PushResult::kShutdown;
   }
-  log_.LogA(t, row);
-  core::PushResult r = job_->PushA(t, std::move(row));
+  log_.LogRecord(stream, t, row);
+  core::PushResult r = job_->Push(stream, t, std::move(row));
   if (r == core::PushResult::kShutdown && job_->Failed()) {
     // The entry is logged: recovery replays it, so the push succeeded
     // from the caller's point of view.
-    if (EnsureHealthyLocked().ok()) r = core::PushResult::kAccepted;
-  }
-  return r;
-}
-
-core::PushResult SupervisedJob::PushB(TimestampMs t, spe::Row row) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!started_ || finished_ || !EnsureHealthyLocked().ok()) {
-    return core::PushResult::kShutdown;
-  }
-  log_.LogB(t, row);
-  core::PushResult r = job_->PushB(t, std::move(row));
-  if (r == core::PushResult::kShutdown && job_->Failed()) {
     if (EnsureHealthyLocked().ok()) r = core::PushResult::kAccepted;
   }
   return r;
@@ -302,46 +291,45 @@ Status SupervisedJob::ReplayLocked(int64_t from, int64_t restored_id) {
        off < log_.EndOffset(); ++off) {
     const SourceLog::Entry& e = log_.At(off);
     switch (e.kind) {
-      case SourceLog::Entry::kRecordA:
-        job_->PushA(e.time, e.row);
-        ++replayed_rows_;
-        break;
-      case SourceLog::Entry::kRecordB:
-        job_->PushB(e.time, e.row);
+      case SourceLog::Entry::kRecord:
+        job_->Push(e.stream, e.time, e.row);
         ++replayed_rows_;
         break;
       case SourceLog::Entry::kWatermark:
         job_->PushWatermark(e.time);
         break;
       case SourceLog::Entry::kSubmit: {
-        PinClock(e.wall_ms);
-        Result<core::QueryId> id = job_->Submit(e.desc);
+        const SourceLog::Control& c = *e.control;
+        PinClock(c.wall_ms);
+        Result<core::QueryId> id = job_->Submit(c.desc);
         ASTREAM_RETURN_IF_ERROR(id.status());
-        if (id.value() != e.query_id) {
+        if (id.value() != c.query_id) {
           // The restored session's id counter must reassign the original
           // ids or every downstream routing decision diverges.
           return Status::Internal(
               "replay assigned query id " + std::to_string(id.value()) +
-              ", log recorded " + std::to_string(e.query_id));
+              ", log recorded " + std::to_string(c.query_id));
         }
         job_->Pump(true);
         break;
       }
       case SourceLog::Entry::kCancel:
-        PinClock(e.wall_ms);
-        ASTREAM_RETURN_IF_ERROR(job_->Cancel(e.query_id));
+        PinClock(e.control->wall_ms);
+        ASTREAM_RETURN_IF_ERROR(job_->Cancel(e.control->query_id));
         job_->Pump(true);
         break;
-      case SourceLog::Entry::kCheckpoint:
+      case SourceLog::Entry::kCheckpoint: {
+        const SourceLog::Control& c = *e.control;
         // Checkpoints at or below the restore point are already durable;
         // re-triggering one would overwrite the completed checkpoint we
         // just restored from — fatal if this replay crashes too.
-        if (e.checkpoint_id <= restored_id) break;
-        PinClock(e.wall_ms);
-        job_->TriggerCheckpoint({{0, e.offset}}, e.checkpoint_id);
+        if (c.checkpoint_id <= restored_id) break;
+        PinClock(c.wall_ms);
+        job_->TriggerCheckpoint({{0, c.offset}}, c.checkpoint_id);
         next_checkpoint_id_ =
-            std::max(next_checkpoint_id_, e.checkpoint_id + 1);
+            std::max(next_checkpoint_id_, c.checkpoint_id + 1);
         break;
+      }
     }
     ++replayed_entries_;
     // A fault firing during replay poisons the fresh job too; report it so

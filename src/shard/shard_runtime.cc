@@ -242,10 +242,7 @@ void ShardRuntime::Quiesce() {
 core::PushResult ShardRuntime::ApplyPush(int stream, TimestampMs t,
                                          spe::Row row) {
   if (supervised_ != nullptr) {
-    // Supervised shards replay from a two-stream source log; multiway
-    // topologies are rejected at config validation.
-    return stream == 0 ? supervised_->PushA(t, std::move(row))
-                       : supervised_->PushB(t, std::move(row));
+    return supervised_->Push(stream, t, std::move(row));
   }
   return plain_->Push(stream, t, std::move(row));
 }

@@ -37,8 +37,10 @@ class Row {
   explicit Row(std::vector<Value> values)
       : rep_(values.empty() ? nullptr
                             : std::make_shared<Rep>(std::move(values))) {}
+  // Builds the rep in place: delegating through a temporary vector makes
+  // GCC 12 report a spurious -Wfree-nonheap-object at every call site.
   Row(std::initializer_list<Value> values)
-      : Row(std::vector<Value>(values)) {}
+      : rep_(values.size() == 0 ? nullptr : std::make_shared<Rep>(values)) {}
 
   /// Partitioning key (column 0). Rows in flight always have >= 1 column.
   Value key() const {
@@ -145,6 +147,7 @@ class Row {
   struct Rep {
     Rep() = default;
     explicit Rep(std::vector<Value> v) : flat(std::move(v)) {}
+    explicit Rep(std::initializer_list<Value> v) : flat(v) {}
     Rep(std::shared_ptr<const Rep> l, std::shared_ptr<const Rep> r)
         : left(std::move(l)),
           right(std::move(r)),

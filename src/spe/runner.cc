@@ -644,7 +644,7 @@ void ThreadedRunner::Poison(const Status& status) {
   poisoned_.store(true, std::memory_order_release);
   // Quiesce: closing every inbox lets sibling tasks drain and exit, and
   // unblocks any producer parked on a full ring/channel (their pushes fail,
-  // which PushTo surfaces as kShutdown instead of blocking forever).
+  // which Push surfaces as kShutdown instead of blocking forever).
   for (auto& stage_tasks : tasks_) {
     for (auto& task : stage_tasks) task->inbox->Close();
   }

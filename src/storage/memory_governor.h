@@ -95,7 +95,7 @@ class MemoryGovernor {
   void Enforce(SpillClient* self);
 
   /// True when spilling is disabled, a budget is set, and resident state
-  /// exceeds it — the facade's PushTo turns this into kBackpressure.
+  /// exceeds it — the facade's Push turns this into kBackpressure.
   /// Lock-free (one relaxed load on the ingest path).
   bool ShouldBackpressure() const {
     return !allow_spill_ && budget_ > 0 &&

@@ -180,7 +180,7 @@ TEST_F(AdmissionTest, P99GateQueuesWhileSloViolated) {
   for (int t = 0; t < 20; ++t) {
     const TimestampMs now = (t + 1) * 100;
     clock_.SetMs(now);
-    job_->PushA(now, spe::Row{1, 10});
+    job_->Push(0, now, spe::Row{1, 10});
     job_->PushWatermark(now - 50);
     job_->Pump(true);
   }
@@ -199,7 +199,7 @@ TEST_F(AdmissionTest, MeteredCostsExported) {
   for (int t = 0; t < 10; ++t) {
     const TimestampMs now = (t + 1) * 100;
     clock_.SetMs(now);
-    job_->PushA(now, spe::Row{1, 7});
+    job_->Push(0, now, spe::Row{1, 7});
     job_->PushWatermark(now - 50);
     job_->Pump(true);
   }

@@ -41,9 +41,9 @@ QueryDescriptor JoinQuery(spe::WindowSpec window,
 TEST(AStreamE2ETest, SelectionFiltersAndRoutes) {
   E2EHarness h(Kind::kAggregation);
   const QueryId q = h.Create(SelectionQuery({1, CmpOp::kLt, 50}), 0);
-  h.PushA(10, Row{1, 40});   // matches
-  h.PushA(11, Row{2, 60});   // filtered
-  h.PushA(12, Row{3, 10});   // matches
+  h.Push(0, 10, Row{1, 40});   // matches
+  h.Push(0, 11, Row{2, 60});   // filtered
+  h.Push(0, 12, Row{3, 10});   // matches
   h.Watermark(20);
   h.FinishAndVerify();
   EXPECT_EQ(E2EHarness::CountRows(h.outputs().at(q)), 2);
@@ -51,9 +51,9 @@ TEST(AStreamE2ETest, SelectionFiltersAndRoutes) {
 
 TEST(AStreamE2ETest, TuplesBeforeCreationExcluded) {
   E2EHarness h(Kind::kAggregation);
-  h.PushA(5, Row{1, 1});  // no query yet — dropped
+  h.Push(0, 5, Row{1, 1});  // no query yet — dropped
   const QueryId q = h.Create(SelectionQuery({1, CmpOp::kGe, 0}), 10);
-  h.PushA(15, Row{1, 2});
+  h.Push(0, 15, Row{1, 2});
   h.FinishAndVerify();
   EXPECT_EQ(E2EHarness::CountRows(h.outputs().at(q)), 1);
 }
@@ -61,9 +61,9 @@ TEST(AStreamE2ETest, TuplesBeforeCreationExcluded) {
 TEST(AStreamE2ETest, TuplesAfterDeletionExcluded) {
   E2EHarness h(Kind::kAggregation);
   const QueryId q = h.Create(SelectionQuery({1, CmpOp::kGe, 0}), 0);
-  h.PushA(5, Row{1, 1});
+  h.Push(0, 5, Row{1, 1});
   h.Delete(q, 10);
-  h.PushA(15, Row{1, 2});  // after deletion
+  h.Push(0, 15, Row{1, 2});  // after deletion
   h.FinishAndVerify();
   EXPECT_EQ(E2EHarness::CountRows(h.outputs().at(q)), 1);
 }
@@ -72,11 +72,11 @@ TEST(AStreamE2ETest, TumblingAggregation) {
   E2EHarness h(Kind::kAggregation);
   h.Create(AggQuery(spe::WindowSpec::Tumbling(100)), 0);
   // Query created at t=1; windows [1,101), [101,201), ...
-  h.PushA(10, Row{1, 5});
-  h.PushA(20, Row{1, 7});
-  h.PushA(30, Row{2, 3});
+  h.Push(0, 10, Row{1, 5});
+  h.Push(0, 20, Row{1, 7});
+  h.Push(0, 30, Row{2, 3});
   h.Watermark(101);
-  h.PushA(150, Row{1, 11});
+  h.Push(0, 150, Row{1, 11});
   h.FinishAndVerify();
 }
 
@@ -84,7 +84,7 @@ TEST(AStreamE2ETest, SlidingAggregationOverlappingWindows) {
   E2EHarness h(Kind::kAggregation);
   h.Create(AggQuery(spe::WindowSpec::Sliding(100, 40)), 0);
   for (int i = 0; i < 30; ++i) {
-    h.PushA(5 + i * 10, Row{i % 3, i});
+    h.Push(0, 5 + i * 10, Row{i % 3, i});
   }
   h.Watermark(320);
   h.FinishAndVerify();
@@ -97,7 +97,7 @@ TEST(AStreamE2ETest, TwoAggQueriesShareSlices) {
                     {Predicate{1, CmpOp::kLt, 50}}),
            0);
   for (int i = 0; i < 40; ++i) {
-    h.PushA(2 + i * 7, Row{i % 4, i * 3 % 100});
+    h.Push(0, 2 + i * 7, Row{i % 4, i * 3 % 100});
   }
   h.Watermark(300);
   h.FinishAndVerify();
@@ -106,10 +106,10 @@ TEST(AStreamE2ETest, TwoAggQueriesShareSlices) {
 TEST(AStreamE2ETest, MidStreamCreationAggregation) {
   E2EHarness h(Kind::kAggregation);
   h.Create(AggQuery(spe::WindowSpec::Tumbling(50)), 0);
-  for (int i = 0; i < 10; ++i) h.PushA(5 + i * 10, Row{1, i});
+  for (int i = 0; i < 10; ++i) h.Push(0, 5 + i * 10, Row{1, i});
   // Second query joins mid-stream at t=100: its windows start at 101.
   h.Create(AggQuery(spe::WindowSpec::Tumbling(30)), 100);
-  for (int i = 0; i < 10; ++i) h.PushA(105 + i * 10, Row{1, i});
+  for (int i = 0; i < 10; ++i) h.Push(0, 105 + i * 10, Row{1, i});
   h.Watermark(250);
   h.FinishAndVerify();
 }
@@ -118,11 +118,11 @@ TEST(AStreamE2ETest, DeletionDrainsCompletedWindows) {
   E2EHarness h(Kind::kAggregation);
   const QueryId q = h.Create(AggQuery(spe::WindowSpec::Tumbling(50)), 0);
   // Windows [1,51), [51,101), ...
-  h.PushA(10, Row{1, 5});
-  h.PushA(60, Row{1, 7});
+  h.Push(0, 10, Row{1, 5});
+  h.Push(0, 60, Row{1, 7});
   // Delete at ~120: windows ending <= 121 emit ([1,51) and [51,101));
   // the in-flight window [101,151) is cancelled.
-  h.PushA(110, Row{1, 100});
+  h.Push(0, 110, Row{1, 100});
   h.Delete(q, 120);
   h.Watermark(200);
   h.FinishAndVerify();
@@ -135,13 +135,13 @@ TEST(AStreamE2ETest, SlotReuseKeepsQueriesSeparate) {
   E2EHarness h(Kind::kAggregation);
   const QueryId q1 = h.Create(AggQuery(spe::WindowSpec::Tumbling(1000)), 0);
   const QueryId q2 = h.Create(AggQuery(spe::WindowSpec::Tumbling(40)), 0);
-  h.PushA(10, Row{1, 100});
-  h.PushA(20, Row{1, 23});
+  h.Push(0, 10, Row{1, 100});
+  h.Push(0, 20, Row{1, 23});
   h.Delete(q2, 60);
   // q3 reuses q2's slot.
   const QueryId q3 = h.Create(AggQuery(spe::WindowSpec::Tumbling(40)), 70);
-  h.PushA(80, Row{1, 500});
-  h.PushA(90, Row{1, 1});
+  h.Push(0, 80, Row{1, 500});
+  h.Push(0, 90, Row{1, 1});
   h.Watermark(150);
   h.FinishAndVerify();
   // q2's only completed window [?,?+40) sums 123; q3's sums 501.
@@ -157,10 +157,10 @@ TEST(AStreamE2ETest, SessionWindowAggregation) {
   d.window = spe::WindowSpec::Session(20);
   d.agg = {spe::AggKind::kSum, 1};
   h.Create(d, 0);
-  h.PushA(10, Row{1, 1});
-  h.PushA(25, Row{1, 2});   // same session (gap 15 < 20)
-  h.PushA(60, Row{1, 4});   // new session
-  h.PushA(65, Row{2, 8});   // separate key
+  h.Push(0, 10, Row{1, 1});
+  h.Push(0, 25, Row{1, 2});   // same session (gap 15 < 20)
+  h.Push(0, 60, Row{1, 4});   // new session
+  h.Push(0, 65, Row{2, 8});   // separate key
   h.Watermark(100);
   h.FinishAndVerify();
 }
@@ -172,8 +172,8 @@ TEST(AStreamE2ETest, SessionQueryDeletedPrunesOpenSessions) {
   d.window = spe::WindowSpec::Session(20);
   d.agg = {spe::AggKind::kSum, 1};
   const QueryId q = h.Create(d, 0);
-  h.PushA(10, Row{1, 1});   // session closes at 30 < 100 — emits
-  h.PushA(90, Row{1, 2});   // session would close at 110 > 100 — cancelled
+  h.Push(0, 10, Row{1, 1});   // session closes at 30 < 100 — emits
+  h.Push(0, 90, Row{1, 2});   // session would close at 110 > 100 — cancelled
   h.Delete(q, 100);
   h.Watermark(200);
   h.FinishAndVerify();
@@ -183,10 +183,10 @@ TEST(AStreamE2ETest, SessionQueryDeletedPrunesOpenSessions) {
 TEST(AStreamE2ETest, JoinBasic) {
   E2EHarness h(Kind::kJoin);
   h.Create(JoinQuery(spe::WindowSpec::Tumbling(100)), 0);
-  h.PushA(10, Row{1, 5});
-  h.PushB(20, Row{1, 7});
-  h.PushA(30, Row{2, 9});
-  h.PushB(40, Row{3, 11});  // key 3 unmatched
+  h.Push(0, 10, Row{1, 5});
+  h.Push(1, 20, Row{1, 7});
+  h.Push(0, 30, Row{2, 9});
+  h.Push(1, 40, Row{3, 11});  // key 3 unmatched
   h.Watermark(150);
   h.FinishAndVerify();
 }
@@ -197,10 +197,10 @@ TEST(AStreamE2ETest, JoinPredicatesPerSide) {
                      {Predicate{1, CmpOp::kLt, 50}},
                      {Predicate{1, CmpOp::kGe, 50}}),
            0);
-  h.PushA(10, Row{1, 40});  // passes A-side
-  h.PushA(11, Row{1, 60});  // fails A-side
-  h.PushB(20, Row{1, 70});  // passes B-side
-  h.PushB(21, Row{1, 30});  // fails B-side
+  h.Push(0, 10, Row{1, 40});  // passes A-side
+  h.Push(0, 11, Row{1, 60});  // fails A-side
+  h.Push(1, 20, Row{1, 70});  // passes B-side
+  h.Push(1, 21, Row{1, 30});  // fails B-side
   h.Watermark(150);
   h.FinishAndVerify();
 }
@@ -213,8 +213,8 @@ TEST(AStreamE2ETest, JoinSlidingWindowsAndSharedPairs) {
                      {Predicate{1, CmpOp::kLt, 500}}),
            0);
   for (int i = 0; i < 20; ++i) {
-    h.PushA(3 + i * 8, Row{i % 3, i * 37 % 1000});
-    h.PushB(4 + i * 8, Row{i % 3, i * 53 % 1000});
+    h.Push(0, 3 + i * 8, Row{i % 3, i * 37 % 1000});
+    h.Push(1, 4 + i * 8, Row{i % 3, i * 53 % 1000});
   }
   h.Watermark(250);
   h.FinishAndVerify();
@@ -227,19 +227,19 @@ TEST(AStreamE2ETest, JoinAdhocCreateDeleteChurn) {
   E2EHarness h(Kind::kJoin);
   const QueryId q1 = h.Create(JoinQuery(spe::WindowSpec::Tumbling(50)), 0);
   for (int i = 0; i < 8; ++i) {
-    h.PushA(5 + i * 10, Row{i % 2, i});
-    h.PushB(6 + i * 10, Row{i % 2, 100 + i});
+    h.Push(0, 5 + i * 10, Row{i % 2, i});
+    h.Push(1, 6 + i * 10, Row{i % 2, 100 + i});
   }
   const QueryId q2 =
       h.Create(JoinQuery(spe::WindowSpec::Tumbling(30)), 90);
   for (int i = 8; i < 16; ++i) {
-    h.PushA(5 + i * 10, Row{i % 2, i});
-    h.PushB(6 + i * 10, Row{i % 2, 100 + i});
+    h.Push(0, 5 + i * 10, Row{i % 2, i});
+    h.Push(1, 6 + i * 10, Row{i % 2, 100 + i});
   }
   h.Delete(q1, 170);
   for (int i = 16; i < 24; ++i) {
-    h.PushA(5 + i * 10, Row{i % 2, i});
-    h.PushB(6 + i * 10, Row{i % 2, 100 + i});
+    h.Push(0, 5 + i * 10, Row{i % 2, i});
+    h.Push(1, 6 + i * 10, Row{i % 2, 100 + i});
   }
   h.Watermark(300);
   h.FinishAndVerify();
@@ -250,13 +250,13 @@ TEST(AStreamE2ETest, JoinSlotReuseAcrossChangelog) {
   E2EHarness h(Kind::kJoin);
   h.Create(JoinQuery(spe::WindowSpec::Tumbling(200)), 0);  // long window
   const QueryId q2 = h.Create(JoinQuery(spe::WindowSpec::Tumbling(40)), 0);
-  h.PushA(10, Row{1, 1});
-  h.PushB(15, Row{1, 2});
+  h.Push(0, 10, Row{1, 1});
+  h.Push(1, 15, Row{1, 2});
   h.Delete(q2, 50);
   // q3 takes q2's slot; its tuples live in later slices.
   h.Create(JoinQuery(spe::WindowSpec::Tumbling(40)), 60);
-  h.PushA(70, Row{1, 3});
-  h.PushB(75, Row{1, 4});
+  h.Push(0, 70, Row{1, 3});
+  h.Push(1, 75, Row{1, 4});
   h.Watermark(300);
   h.FinishAndVerify();
 }
@@ -269,9 +269,9 @@ TEST(AStreamE2ETest, ComplexQueryDepthOne) {
   d.join_depth = 1;
   d.agg = {spe::AggKind::kSum, 1};
   h.Create(d, 0);
-  h.PushA(10, Row{1, 5});
-  h.PushB(20, Row{1, 7});
-  h.PushA(30, Row{1, 9});
+  h.Push(0, 10, Row{1, 5});
+  h.Push(1, 20, Row{1, 7});
+  h.Push(0, 30, Row{1, 9});
   h.Watermark(250);
   h.FinishAndVerify();
 }
@@ -284,9 +284,9 @@ TEST(AStreamE2ETest, ComplexQueryDepthTwo) {
   d.join_depth = 2;
   d.agg = {spe::AggKind::kSum, 1};
   h.Create(d, 0);
-  h.PushA(10, Row{1, 5});
-  h.PushB(20, Row{1, 7});
-  h.PushB(25, Row{1, 11});
+  h.Push(0, 10, Row{1, 5});
+  h.Push(1, 20, Row{1, 7});
+  h.Push(1, 25, Row{1, 11});
   h.Watermark(500);
   h.FinishAndVerify();
 }
@@ -302,8 +302,8 @@ TEST(AStreamE2ETest, ComplexMixedDepths) {
     h.Create(d, 0);
   }
   for (int i = 0; i < 12; ++i) {
-    h.PushA(5 + i * 9, Row{i % 2, i + 1});
-    h.PushB(6 + i * 9, Row{i % 2, 2 * i + 1});
+    h.Push(0, 5 + i * 9, Row{i % 2, i + 1});
+    h.Push(1, 6 + i * 9, Row{i % 2, 2 * i + 1});
   }
   h.Watermark(600);
   h.FinishAndVerify();
@@ -317,7 +317,7 @@ TEST(AStreamE2ETest, ParallelismPreservesResults) {
                       {Predicate{2, CmpOp::kGt, 30}}),
              0);
     for (int i = 0; i < 50; ++i) {
-      h.PushA(2 + i * 5, Row{i % 7, i * 13 % 100, i * 29 % 100});
+      h.Push(0, 2 + i * 5, Row{i % 7, i * 13 % 100, i * 29 % 100});
     }
     h.Watermark(300);
     h.FinishAndVerify();
@@ -329,8 +329,8 @@ TEST(AStreamE2ETest, ParallelJoinPreservesResults) {
     E2EHarness h(Kind::kJoin, par);
     h.Create(JoinQuery(spe::WindowSpec::Sliding(60, 20)), 0);
     for (int i = 0; i < 30; ++i) {
-      h.PushA(2 + i * 6, Row{i % 5, i});
-      h.PushB(3 + i * 6, Row{(i + 1) % 5, i});
+      h.Push(0, 2 + i * 6, Row{i % 5, i});
+      h.Push(1, 3 + i * 6, Row{(i + 1) % 5, i});
     }
     h.Watermark(250);
     h.FinishAndVerify();
@@ -345,8 +345,8 @@ TEST(AStreamE2ETest, ListModeMatchesGroupedMode) {
                        {Predicate{1, CmpOp::kLt, 600}}),
              0);
     for (int i = 0; i < 25; ++i) {
-      h.PushA(2 + i * 7, Row{i % 4, i * 41 % 1000});
-      h.PushB(3 + i * 7, Row{i % 4, i * 61 % 1000});
+      h.Push(0, 2 + i * 7, Row{i % 4, i * 41 % 1000});
+      h.Push(1, 3 + i * 7, Row{i % 4, i * 61 % 1000});
     }
     h.Watermark(250);
     h.FinishAndVerify();
@@ -362,8 +362,8 @@ TEST(AStreamE2ETest, ManyQueriesTriggerAdaptiveListMode) {
   }
   h.Flush(0);
   for (int i = 0; i < 30; ++i) {
-    h.PushA(2 + i * 6, Row{i % 3, i});
-    h.PushB(3 + i * 6, Row{i % 3, 100 - i});
+    h.Push(0, 2 + i * 6, Row{i % 3, i});
+    h.Push(1, 3 + i * 6, Row{i % 3, 100 - i});
   }
   h.Watermark(400);
   h.FinishAndVerify();
@@ -375,7 +375,7 @@ TEST(AStreamE2ETest, BatchedChangelogMixedCreateDelete) {
   E2EHarness h(Kind::kAggregation);
   const QueryId q1 = h.Create(AggQuery(spe::WindowSpec::Tumbling(40)), 0);
   const QueryId q2 = h.Create(AggQuery(spe::WindowSpec::Tumbling(60)), 0);
-  for (int i = 0; i < 10; ++i) h.PushA(3 + i * 7, Row{1, i});
+  for (int i = 0; i < 10; ++i) h.Push(0, 3 + i * 7, Row{1, i});
   h.Watermark(80);
   // Batch: delete q1 and q2, create two new queries — all in ONE flush.
   h.Cancel(q1, 100);
@@ -383,7 +383,7 @@ TEST(AStreamE2ETest, BatchedChangelogMixedCreateDelete) {
   h.Submit(AggQuery(spe::WindowSpec::Tumbling(30)), 100);
   h.Submit(AggQuery(spe::WindowSpec::Sliding(50, 25)), 100);
   h.Flush(100);
-  for (int i = 0; i < 12; ++i) h.PushA(105 + i * 6, Row{1, 100 + i});
+  for (int i = 0; i < 12; ++i) h.Push(0, 105 + i * 6, Row{1, 100 + i});
   h.Watermark(300);
   h.FinishAndVerify();
 }
@@ -393,7 +393,7 @@ TEST(AStreamE2ETest, WatermarkJumpTriggersManyWindows) {
   // once, in order.
   E2EHarness h(Kind::kAggregation);
   const QueryId q = h.Create(AggQuery(spe::WindowSpec::Tumbling(10)), 0);
-  for (int i = 0; i < 50; ++i) h.PushA(2 + i * 4, Row{1, 1});
+  for (int i = 0; i < 50; ++i) h.Push(0, 2 + i * 4, Row{1, 1});
   h.Watermark(1000);  // jump past ~20 windows at once
   h.FinishAndVerify();
   EXPECT_GT(E2EHarness::CountRows(h.outputs().at(q)), 15);
@@ -405,7 +405,7 @@ TEST(AStreamE2ETest, QueryWithNoMatchingDataEmitsNothing) {
       AggQuery(spe::WindowSpec::Tumbling(50),
                {Predicate{1, CmpOp::kGt, 1'000'000}}),  // matches nothing
       0);
-  for (int i = 0; i < 20; ++i) h.PushA(3 + i * 5, Row{1, i});
+  for (int i = 0; i < 20; ++i) h.Push(0, 3 + i * 5, Row{1, i});
   h.Watermark(200);
   h.FinishAndVerify();
   EXPECT_EQ(h.outputs().count(q) ? E2EHarness::CountRows(h.outputs().at(q))
@@ -417,7 +417,7 @@ TEST(AStreamE2ETest, ImmediateDeleteBeforeAnyData) {
   E2EHarness h(Kind::kAggregation);
   const QueryId q = h.Create(AggQuery(spe::WindowSpec::Tumbling(50)), 0);
   h.Delete(q, 5);  // deleted before any window could complete
-  for (int i = 0; i < 10; ++i) h.PushA(10 + i * 5, Row{1, i});
+  for (int i = 0; i < 10; ++i) h.Push(0, 10 + i * 5, Row{1, i});
   h.Watermark(200);
   h.FinishAndVerify();
 }
@@ -437,7 +437,7 @@ TEST(AStreamE2ETest, OutOfOrderWithinWatermarkBounds) {
       times.push_back(watermark + 1 + rng.UniformInt(0, 49));
     }
     for (TimestampMs t : times) {
-      h.PushA(t, Row{t % 3, t % 17});
+      h.Push(0, t, Row{t % 3, t % 17});
     }
     watermark += 50;
     h.Watermark(watermark);
@@ -454,9 +454,9 @@ TEST(AStreamE2ETest, OutOfOrderJoinAcrossStreams) {
     for (int i = 0; i < 10; ++i) {
       const TimestampMs t = watermark + 1 + rng.UniformInt(0, 59);
       if (rng.Bernoulli(0.5)) {
-        h.PushA(t, Row{t % 4, t});
+        h.Push(0, t, Row{t % 4, t});
       } else {
-        h.PushB(t, Row{t % 4, 100 + t});
+        h.Push(1, t, Row{t % 4, 100 + t});
       }
     }
     watermark += 60;
@@ -474,7 +474,7 @@ TEST(AStreamE2ETest, AggDeleteRecreateManyCycles) {
         h.Create(AggQuery(spe::WindowSpec::Tumbling(20)), t);
     ids.push_back(q);
     for (int i = 0; i < 6; ++i) {
-      h.PushA(t + 3 + i * 8, Row{1, cycle * 10 + i});
+      h.Push(0, t + 3 + i * 8, Row{1, cycle * 10 + i});
     }
     t += 50;
     h.Watermark(t);

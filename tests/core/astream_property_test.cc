@@ -92,9 +92,9 @@ TEST_P(AdhocConsistencyProperty, EngineMatchesReference) {
                  std::move(row));
         } else if (param.topology != Kind::kAggregation &&
                    rng.Bernoulli(0.5)) {
-          h.PushB(t, std::move(row));
+          h.Push(1, t, std::move(row));
         } else {
-          h.PushA(t, std::move(row));
+          h.Push(0, t, std::move(row));
         }
       }
       if (rng.Bernoulli(0.3)) h.Watermark(t);

@@ -58,7 +58,7 @@ TEST(BackpressureRaceTest, SubmitCancelWhileBackpressured) {
   for (int i = 0; i < 20000 && !backpressured; ++i) {
     t = 1 + i;
     clock.SetMs(t);
-    backpressured = job->PushA(t, WideRow(i)) == PushResult::kBackpressure;
+    backpressured = job->Push(0, t, WideRow(i)) == PushResult::kBackpressure;
   }
   ASSERT_TRUE(backpressured);
 
@@ -78,7 +78,7 @@ TEST(BackpressureRaceTest, SubmitCancelWhileBackpressured) {
     job->Pump(true);
     t += 500;
     clock.SetMs(t);
-    accepted_again = job->PushA(t, WideRow(0)) == PushResult::kAccepted;
+    accepted_again = job->Push(0, t, WideRow(0)) == PushResult::kAccepted;
   }
   EXPECT_TRUE(accepted_again);
   EXPECT_GT(outputs, 0);
@@ -98,7 +98,7 @@ TEST(BackpressureRaceTest, ShutdownInterleavings) {
   auto job = std::move(AStreamJob::Create(options)).value();
 
   // Before Start(): permanent refusal, not transient backpressure.
-  EXPECT_EQ(job->PushA(1, spe::Row{0, 1}), PushResult::kShutdown);
+  EXPECT_EQ(job->Push(0, 1, spe::Row{0, 1}), PushResult::kShutdown);
   EXPECT_FALSE(job->Submit(WideAgg(0)).ok());
 
   ASSERT_TRUE(job->Start().ok());
@@ -106,13 +106,13 @@ TEST(BackpressureRaceTest, ShutdownInterleavings) {
   ASSERT_TRUE(id.ok());
   clock.SetMs(1);
   job->Pump(true);
-  EXPECT_EQ(job->PushA(1, spe::Row{0, 1}), PushResult::kAccepted);
+  EXPECT_EQ(job->Push(0, 1, spe::Row{0, 1}), PushResult::kAccepted);
 
   ASSERT_TRUE(job->Stop().ok());
   // After Stop(): pushes report kShutdown, control ops fail cleanly, and
   // none of it crashes or corrupts health.
-  EXPECT_EQ(job->PushA(2, spe::Row{0, 1}), PushResult::kShutdown);
-  EXPECT_EQ(job->PushB(2, spe::Row{0, 1}), PushResult::kShutdown);
+  EXPECT_EQ(job->Push(0, 2, spe::Row{0, 1}), PushResult::kShutdown);
+  EXPECT_EQ(job->Push(1, 2, spe::Row{0, 1}), PushResult::kShutdown);
   EXPECT_FALSE(job->Submit(WideAgg(1)).ok());
   EXPECT_FALSE(job->Cancel(*id).ok());
   EXPECT_TRUE(job->Health().ok());
@@ -141,7 +141,7 @@ TEST(BackpressureRaceTest, ThreadedSubmitCancelChurnUnderLoad) {
   ASSERT_TRUE(job->Submit(WideAgg(0)).ok());
   for (int i = 0; i < 4000; ++i) {
     const TimestampMs t = 1 + i;
-    const PushResult push = job->PushA(t, WideRow(i));
+    const PushResult push = job->Push(0, t, WideRow(i));
     EXPECT_NE(push, PushResult::kShutdown) << "tuple " << i;
     if (i % 400 == 399) {
       if (live != -1) {

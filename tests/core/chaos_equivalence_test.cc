@@ -176,10 +176,10 @@ std::map<QueryId, RowMultiset> RunReference(const ChaosScript& script,
     clock.SetMs(step.time);
     switch (step.what) {
       case ChaosScript::Step::kPushA:
-        job->PushA(step.time, step.row);
+        job->Push(0, step.time, step.row);
         break;
       case ChaosScript::Step::kPushB:
-        job->PushB(step.time, step.row);
+        job->Push(1, step.time, step.row);
         break;
       case ChaosScript::Step::kWatermark:
         job->PushWatermark(step.time);
@@ -308,10 +308,10 @@ ChaosOutcome RunChaos(const ChaosScript& script, uint64_t seed,
       clock.SetMs(step.time);
       switch (step.what) {
         case ChaosScript::Step::kPushA:
-          job.PushA(step.time, step.row);
+          job.Push(0, step.time, step.row);
           break;
         case ChaosScript::Step::kPushB:
-          job.PushB(step.time, step.row);
+          job.Push(1, step.time, step.row);
           break;
         case ChaosScript::Step::kWatermark:
           job.PushWatermark(step.time);

@@ -95,11 +95,15 @@ class E2EHarness {
     Flush(at);
   }
 
-  void PushA(TimestampMs t, spe::Row row) { PushImpl(0, t, std::move(row)); }
-  void PushB(TimestampMs t, spe::Row row) { PushImpl(1, t, std::move(row)); }
-  /// Generic stream push (kMultiway topologies: streams 0..num_streams-1).
+  /// Data input on `stream` (0 = A, 1 = B; kMultiway topologies:
+  /// 0..num_streams-1).
   void Push(int stream, TimestampMs t, spe::Row row) {
-    PushImpl(stream, t, std::move(row));
+    // Mirror the facade's marker clamp so the recorded event matches what
+    // the engine actually processed.
+    const TimestampMs effective =
+        std::max(t, job_->session().last_marker_time());
+    events_.push_back(harness::InputEvent{stream, effective, row});
+    job_->Push(stream, t, std::move(row));
   }
 
   void Watermark(TimestampMs t) {
@@ -139,15 +143,6 @@ class E2EHarness {
   }
 
  private:
-  void PushImpl(int stream, TimestampMs t, spe::Row row) {
-    // Mirror the facade's marker clamp so the recorded event matches what
-    // the engine actually processed.
-    const TimestampMs effective =
-        std::max(t, job_->session().last_marker_time());
-    events_.push_back(harness::InputEvent{stream, effective, row});
-    job_->Push(stream, t, std::move(row));
-  }
-
   ManualClock clock_;
   std::unique_ptr<AStreamJob> job_;
   std::map<QueryId, harness::RowMultiset> outputs_;

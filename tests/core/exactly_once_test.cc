@@ -58,10 +58,10 @@ class ExactlyOnceTest : public ::testing::Test {
       clock->SetMs(e.time);
       switch (e.kind) {
         case LogEntry::kPushA:
-          job->PushA(e.time, e.row);
+          job->Push(0, e.time, e.row);
           break;
         case LogEntry::kPushB:
-          job->PushB(e.time, e.row);
+          job->Push(1, e.time, e.row);
           break;
         case LogEntry::kWatermark:
           job->PushWatermark(e.time);

@@ -174,7 +174,7 @@ void RunNonDivisorFleet(bool share) {
   h.Flush(0);
   const TimestampMs origin = h.lifecycles()[q73].created_at;
   for (int i = 0; i < 120; ++i) {
-    h.PushA(2 + i * 2, Row{i % 4, i});  // up to t = 240
+    h.Push(0, 2 + i * 2, Row{i % 4, i});  // up to t = 240
   }
   h.Watermark(130);
   // Out-of-order rows landing exactly ON factor boundaries (above the
@@ -184,10 +184,10 @@ void RunNonDivisorFleet(bool share) {
   const TimestampMs lattice_edge =
       NextLatticeEdgeAfter(FloorMod(origin, 10), 10, 135);
   const TimestampMs end_edge = origin + 7 + 3 * ((135 - origin - 7) / 3 + 1);
-  h.PushA(lattice_edge, Row{1, 1000});
-  h.PushA(end_edge, Row{2, 2000});
+  h.Push(0, lattice_edge, Row{1, 1000});
+  h.Push(0, end_edge, Row{2, 2000});
   for (int i = 0; i < 40; ++i) {
-    h.PushA(242 + i * 3, Row{i % 4, i});
+    h.Push(0, 242 + i * 3, Row{i % 4, i});
   }
   h.Watermark(400);
   h.FinishAndVerify();

@@ -65,7 +65,7 @@ std::map<QueryId, int64_t> RunAggregationWorkload(AStreamJob* job,
   for (int i = 0; i < 600; ++i) {
     t += rng.UniformInt(1, 3);
     clock->SetMs(t);
-    job->PushA(t, Row{rng.UniformInt(0, 5), rng.UniformInt(0, 99)});
+    job->Push(0, t, Row{rng.UniformInt(0, 5), rng.UniformInt(0, 99)});
     if (i % 25 == 24) job->PushWatermark(t);
   }
   job->FinishAndWait();
@@ -138,9 +138,9 @@ TEST(MetricsE2E, JoinSliceReuseIsAttributed) {
     clock.SetMs(t);
     const Row row{rng.UniformInt(0, 3), rng.UniformInt(0, 99)};
     if (i % 2 == 0) {
-      job->PushA(t, row);
+      job->Push(0, t, row);
     } else {
-      job->PushB(t, row);
+      job->Push(1, t, row);
     }
     if (i % 25 == 24) job->PushWatermark(t);
   }
@@ -202,13 +202,13 @@ TEST(MetricsE2E, PushResultDistinguishesDropCauses) {
   auto job = MakeJob(Kind::kAggregation, /*threaded=*/false, &clock);
 
   // Not started yet: permanent refusal, not backpressure.
-  EXPECT_EQ(job->PushA(1, Row{0, 1}), PushResult::kShutdown);
+  EXPECT_EQ(job->Push(0, 1, Row{0, 1}), PushResult::kShutdown);
 
   ASSERT_TRUE(job->Start().ok());
   clock.SetMs(100);
-  EXPECT_EQ(job->PushA(100, Row{0, 1}), PushResult::kAccepted);
+  EXPECT_EQ(job->Push(0, 100, Row{0, 1}), PushResult::kAccepted);
   // Aggregation topology has no stream B.
-  EXPECT_EQ(job->PushB(100, Row{0, 1}), PushResult::kShutdown);
+  EXPECT_EQ(job->Push(1, 100, Row{0, 1}), PushResult::kShutdown);
 
   // Flush a changelog at t=200; a tuple behind the marker is clamped.
   ASSERT_TRUE(
@@ -216,12 +216,12 @@ TEST(MetricsE2E, PushResultDistinguishesDropCauses) {
           .ok());
   clock.SetMs(200);
   job->Pump(true);
-  EXPECT_EQ(job->PushA(50, Row{0, 1}), PushResult::kLateClamped);
-  EXPECT_EQ(job->PushA(300, Row{0, 1}), PushResult::kAccepted);
+  EXPECT_EQ(job->Push(0, 50, Row{0, 1}), PushResult::kLateClamped);
+  EXPECT_EQ(job->Push(0, 300, Row{0, 1}), PushResult::kAccepted);
 
   job->FinishAndWait();
   // Finished: permanently refused again.
-  EXPECT_EQ(job->PushA(400, Row{0, 1}), PushResult::kShutdown);
+  EXPECT_EQ(job->Push(0, 400, Row{0, 1}), PushResult::kShutdown);
 
   const auto snap = job->MetricsSnapshot();
   EXPECT_EQ(snap.counters.at("job.push_accepted"), 2);
@@ -244,7 +244,7 @@ TEST(MetricsE2E, TraceRecordsLifecycleInOrder) {
 
   for (TimestampMs t = 1; t <= 200; t += 5) {
     clock.SetMs(t);
-    job->PushA(t, Row{0, 1});
+    job->Push(0, t, Row{0, 1});
     if (t % 50 == 1) job->PushWatermark(t);
   }
   ASSERT_TRUE(job->Cancel(id).ok());

@@ -96,10 +96,10 @@ std::map<QueryId, RowMultiset> RunScript(const Script& script, Kind kind,
     clock.SetMs(step.time);
     switch (step.what) {
       case Script::Step::kPushA:
-        job->PushA(step.time, step.row);
+        job->Push(0, step.time, step.row);
         break;
       case Script::Step::kPushB:
-        job->PushB(step.time, step.row);
+        job->Push(1, step.time, step.row);
         break;
       case Script::Step::kWatermark:
         job->PushWatermark(step.time);

@@ -72,9 +72,9 @@ void Feed(JobT* job, ManualClock* clock, int from, int to) {
     if (i < from) continue;  // keep rng/time sequence aligned
     clock->SetMs(t);
     if (i % 2 == 0) {
-      job->PushA(t, row);
+      job->Push(0, t, row);
     } else {
-      job->PushB(t, row);
+      job->Push(1, t, row);
     }
     if (i % 50 == 49) job->PushWatermark(t - 30);
   }

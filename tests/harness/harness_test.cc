@@ -37,7 +37,7 @@ TEST(BaselineSutTest, DeploysAndProducesResults) {
 
   const TimestampMs base = WallClock::Default()->NowMs();
   for (int i = 0; i < 50; ++i) {
-    sut.PushA(base + i, Row{1, 2});
+    sut.Push(0, base + i, Row{1, 2});
   }
   sut.PushWatermark(base + 1000);
   sut.FinishAndWait();
@@ -96,8 +96,8 @@ TEST(BaselineSutTest, JoinJobGetsBothStreams) {
   auto id = sut.Submit(join);
   ASSERT_TRUE(sut.WaitDeployed(5'000));
   const TimestampMs base = WallClock::Default()->NowMs();
-  sut.PushA(base + 1, Row{7, 1});
-  sut.PushB(base + 2, Row{7, 2});
+  sut.Push(0, base + 1, Row{7, 1});
+  sut.Push(1, base + 2, Row{7, 2});
   sut.FinishAndWait();
   EXPECT_EQ(sut.qos().OutputsOf(*id), 1);
 }
@@ -120,7 +120,7 @@ TEST(AStreamSutTest, QosReadsMetricsAndDeployAcks) {
   ASSERT_TRUE(sut.WaitDeployed(5'000));
   for (TimestampMs t = 10; t < 30; ++t) {
     clock.SetMs(t + 5);  // every result leaves 5 ms after its event time
-    sut.PushA(t, Row{1, 2});
+    sut.Push(0, t, Row{1, 2});
   }
   sut.FinishAndWait();
 

@@ -41,6 +41,17 @@ TEST(JobConfigTest, ValidConfigPasses) {
   EXPECT_TRUE(JobConfig::Validated(ValidBase()).ok());
 }
 
+// Supervised shards replay an N-stream source log, so supervision
+// composes with the n-ary multiway topology.
+TEST(JobConfigTest, SupervisedMultiwayValidates) {
+  JobConfig c = ValidBase();
+  c.supervised = true;
+  c.job.topology = AStreamJob::TopologyKind::kMultiway;
+  c.job.num_streams = 3;
+  const Result<JobConfig> validated = JobConfig::Validated(std::move(c));
+  EXPECT_TRUE(validated.ok()) << validated.status().ToString();
+}
+
 TEST(JobConfigTest, RejectsEveryInvalidKnob) {
   {
     JobConfig c = ValidBase();

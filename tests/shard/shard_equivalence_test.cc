@@ -2,7 +2,8 @@
 // resharding/chaos schedule, the merged per-query output multisets of a
 // Client-driven deployment must be byte-identical to a single fault-free
 // sync AStreamJob running the same script — including across a live
-// split/move and a shard killed and recovered mid-run.
+// split/move and a shard killed and recovered mid-run, on the binary join
+// and on the 3-stream multiway join topology.
 
 #include <gtest/gtest.h>
 
@@ -10,10 +11,12 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/astream.h"
+#include "core/query_builder.h"
 #include "harness/reference.h"
 #include "shard/client.h"
 
@@ -25,43 +28,71 @@ using core::CmpOp;
 using core::Predicate;
 using core::QueryDescriptor;
 using core::QueryId;
+using core::QueryBuilder;
 using core::QueryKind;
 using harness::AddToMultiset;
 using harness::RowMultiset;
 using spe::Row;
+using Topology = AStreamJob::TopologyKind;
 
 struct Script {
   struct Step {
     enum What {
-      kPushA,
-      kPushB,
+      kPush,
       kWatermark,
       kSubmit,
       kCancel,
       kCheckpoint,
     };
-    What what = kPushA;
+    What what = kPush;
+    int stream = 0;  // kPush
     TimestampMs time = 0;
     Row row;
     QueryDescriptor desc;
     int cancel_index = 0;  // index into submission order
   };
+  Topology topology = Topology::kJoin;
+  int num_streams = 2;
   std::vector<Step> steps;
   int num_submits = 0;
   int num_cancels = 0;
 };
 
-// ~600 tuples over keys 0..6 on two streams, with ad-hoc selection and
-// join submits, cancels, periodic watermarks and checkpoints — the same
-// churn shape as the core chaos suite, driven through the sharded client.
-Script MakeScript() {
+// A multiway join over `legs` (declared order) with a predicate on its
+// first leg.
+QueryDescriptor MultiwayJoin(Rng* rng, std::vector<int> legs) {
+  auto b = QueryBuilder::MultiwayJoin();
+  for (int s : legs) b.Input(s);
+  b.WhereStream(legs[0], 1, CmpOp::kLt, rng->UniformInt(40, 95));
+  const TimestampMs size = rng->UniformInt(40, 120);
+  const TimestampMs slide = rng->UniformInt(20, 40);
+  b.Window(spe::WindowSpec::Sliding(size, slide));
+  auto q = b.Build();
+  EXPECT_TRUE(q.ok()) << q.status().ToString();
+  return *q;
+}
+
+// ~600 tuples over keys 0..6 with ad-hoc selection and join submits,
+// cancels, periodic watermarks and checkpoints — the same churn shape as
+// the core chaos suite, driven through the sharded client. kJoin: two
+// streams and binary joins. kMultiway: three streams and n-ary joins over
+// {0,1,2}, {0,1}, {1,2} and a permuted {2,0,1}.
+Script MakeScript(Topology topology = Topology::kJoin) {
+  const bool multiway = topology == Topology::kMultiway;
   Rng rng(0x5A4DE);
   Script script;
+  script.topology = topology;
+  script.num_streams = multiway ? 3 : 2;
+  const std::vector<std::vector<int>> mjoin_legs = {
+      {0, 1, 2}, {0, 1}, {1, 2}, {2, 0, 1}};
   auto submit = [&](TimestampMs t, bool selection) {
     QueryDescriptor d;
     if (selection) {
       d.kind = QueryKind::kSelection;
       d.select_a = {Predicate{1, CmpOp::kGt, rng.UniformInt(10, 60)}};
+    } else if (multiway) {
+      d = MultiwayJoin(&rng, mjoin_legs[static_cast<size_t>(
+                                 script.num_submits) % mjoin_legs.size()]);
     } else {
       d.kind = QueryKind::kJoin;
       d.window = spe::WindowSpec::Sliding(rng.UniformInt(40, 120),
@@ -92,8 +123,8 @@ Script MakeScript() {
     Script::Step s;
     s.time = t;
     s.row = Row{rng.UniformInt(0, 6), rng.UniformInt(0, 99)};
-    s.what = rng.Bernoulli(0.5) ? Script::Step::kPushB
-                                : Script::Step::kPushA;
+    s.stream = multiway ? static_cast<int>(rng.UniformInt(0, 2))
+                        : (rng.Bernoulli(0.5) ? 1 : 0);
     script.steps.push_back(std::move(s));
     if (i == 90 || i == 210 || i == 330 || i == 450 || i == 540) {
       submit(t, i % 180 == 90);
@@ -116,9 +147,10 @@ Script MakeScript() {
   return script;
 }
 
-JobConfig BaseConfig(ManualClock* clock) {
+JobConfig BaseConfig(ManualClock* clock, const Script& script) {
   JobConfig config;
-  config.job.topology = AStreamJob::TopologyKind::kJoin;
+  config.job.topology = script.topology;
+  config.job.num_streams = script.num_streams;
   config.job.parallelism = 1;
   config.job.clock = clock;
   config.job.session.batch_size = 1;
@@ -130,7 +162,7 @@ JobConfig BaseConfig(ManualClock* clock) {
 // Fault-free oracle: the deterministic sync runner on one plain job.
 std::map<QueryId, RowMultiset> RunReference(const Script& script) {
   ManualClock clock;
-  AStreamJob::Options options = BaseConfig(&clock).job;
+  AStreamJob::Options options = BaseConfig(&clock, script).job;
   auto job = std::move(AStreamJob::Create(options)).value();
   EXPECT_TRUE(job->Start().ok());
   std::map<QueryId, RowMultiset> outputs;
@@ -141,11 +173,8 @@ std::map<QueryId, RowMultiset> RunReference(const Script& script) {
   for (const auto& step : script.steps) {
     clock.SetMs(step.time);
     switch (step.what) {
-      case Script::Step::kPushA:
-        job->PushA(step.time, step.row);
-        break;
-      case Script::Step::kPushB:
-        job->PushB(step.time, step.row);
+      case Script::Step::kPush:
+        job->Push(step.stream, step.time, step.row);
         break;
       case Script::Step::kWatermark:
         job->PushWatermark(step.time);
@@ -229,11 +258,9 @@ RunOutcome RunClient(const Script& script, JobConfig config,
       EXPECT_TRUE(s.ok()) << s.ToString();
     }
     switch (step.what) {
-      case Script::Step::kPushA:
-        client->Push(StreamId::kA, step.time, step.row);
-        break;
-      case Script::Step::kPushB:
-        client->Push(StreamId::kB, step.time, step.row);
+      case Script::Step::kPush:
+        client->Push(static_cast<StreamId>(step.stream), step.time,
+                     step.row);
         break;
       case Script::Step::kWatermark:
         client->PushWatermark(step.time);
@@ -289,7 +316,7 @@ TEST_P(ShardCountEquivalenceTest, MergedOutputsMatchSingleJobReference) {
   ASSERT_FALSE(reference.empty());
 
   ManualClock clock;
-  JobConfig config = BaseConfig(&clock);
+  JobConfig config = BaseConfig(&clock, script);
   config.shards = GetParam();
   const RunOutcome run = RunClient(script, std::move(config));
 
@@ -309,7 +336,7 @@ TEST(ShardEquivalenceTest, ThreadedRouterMatchesReference) {
   const auto reference = RunReference(script);
 
   ManualClock clock;
-  JobConfig config = BaseConfig(&clock);
+  JobConfig config = BaseConfig(&clock, script);
   config.shards = 4;
   config.shard_threads = true;
   const RunOutcome run = RunClient(script, std::move(config));
@@ -328,7 +355,7 @@ TEST(ShardEquivalenceTest, LiveSplitWithDurableHandoffMatchesReference) {
   const auto reference = RunReference(script);
 
   ManualClock clock;
-  JobConfig config = BaseConfig(&clock);
+  JobConfig config = BaseConfig(&clock, script);
   config.shards = 2;
   config.supervised = true;
   config.state_dir = FreshDir("astream_shard_split_test");
@@ -354,7 +381,7 @@ TEST(ShardEquivalenceTest, LiveMoveMatchesReference) {
   const auto reference = RunReference(script);
 
   ManualClock clock;
-  JobConfig config = BaseConfig(&clock);
+  JobConfig config = BaseConfig(&clock, script);
   config.shards = 2;
   RunPlan plan;
   plan.move_shard = 1;
@@ -369,24 +396,28 @@ TEST(ShardEquivalenceTest, LiveMoveMatchesReference) {
 
 // --- Chaos: kill one shard mid-run, exactly-once still holds. ------------
 
-class ShardKillChaosTest : public ::testing::TestWithParam<uint64_t> {};
+// Parameterized over (topology, seed): the binary join, and the 3-stream
+// multiway join whose supervised shards replay an N-stream source log.
+class ShardKillChaosTest
+    : public ::testing::TestWithParam<std::tuple<Topology, uint64_t>> {};
 
 // Supervised threaded-engine shards behind the inline router: shard 1 is
 // killed at three seed-shifted points; each kill is recovered by replay
 // from the durable checkpoint + source log, and the merged output is
 // still byte-identical to the fault-free single-job sync reference.
 TEST_P(ShardKillChaosTest, KilledShardRecoversExactlyOnce) {
-  const uint64_t seed = GetParam();
-  const Script script = MakeScript();
+  const auto [topology, seed] = GetParam();
+  const Script script = MakeScript(topology);
   const auto reference = RunReference(script);
 
   ManualClock clock;
-  JobConfig config = BaseConfig(&clock);
+  JobConfig config = BaseConfig(&clock, script);
   config.shards = 2;
   config.job.threaded = true;  // kills require an async engine
   config.supervised = true;
-  config.state_dir =
-      FreshDir("astream_shard_kill_test_" + std::to_string(seed));
+  config.state_dir = FreshDir("astream_shard_kill_test_" +
+                              std::to_string(static_cast<int>(topology)) +
+                              "_" + std::to_string(seed));
   config.supervisor.backoff_initial_ms = 1;
   config.supervisor.backoff_max_ms = 8;
   config.pin_clock = [&clock](TimestampMs ms) { clock.SetMs(ms); };
@@ -407,8 +438,8 @@ TEST_P(ShardKillChaosTest, KilledShardRecoversExactlyOnce) {
 // killed right before checkpoint barriers, and a live split later in the
 // run. Output must still match the sync reference byte-for-byte.
 TEST_P(ShardKillChaosTest, FullStackKillAndSplitExactlyOnce) {
-  const uint64_t seed = GetParam();
-  const Script script = MakeScript();
+  const auto [topology, seed] = GetParam();
+  const Script script = MakeScript(topology);
   const auto reference = RunReference(script);
 
   // Kill at checkpoint steps: the kill quiesces all rings first, so the
@@ -424,13 +455,14 @@ TEST_P(ShardKillChaosTest, FullStackKillAndSplitExactlyOnce) {
   ASSERT_GE(checkpoint_steps.size(), 4u);
 
   ManualClock clock;
-  JobConfig config = BaseConfig(&clock);
+  JobConfig config = BaseConfig(&clock, script);
   config.shards = 2;
   config.shard_threads = true;
   config.job.threaded = true;
   config.supervised = true;
-  config.state_dir =
-      FreshDir("astream_shard_fullstack_test_" + std::to_string(seed));
+  config.state_dir = FreshDir("astream_shard_fullstack_test_" +
+                              std::to_string(static_cast<int>(topology)) +
+                              "_" + std::to_string(seed));
   config.supervisor.backoff_initial_ms = 1;
   config.supervisor.backoff_max_ms = 8;
   config.pin_clock = [&clock](TimestampMs ms) { clock.SetMs(ms); };
@@ -449,8 +481,17 @@ TEST_P(ShardKillChaosTest, FullStackKillAndSplitExactlyOnce) {
   EXPECT_EQ(reference, run.outputs);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardKillChaosTest,
-                         ::testing::Values(1u, 2u, 3u));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ShardKillChaosTest,
+    ::testing::Combine(::testing::Values(Topology::kJoin,
+                                         Topology::kMultiway),
+                       ::testing::Values(1u, 2u, 3u)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) == Topology::kJoin
+                             ? "Join"
+                             : "Multiway") +
+             "_" + std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace astream::shard
