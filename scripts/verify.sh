@@ -155,9 +155,13 @@ else
   # Control thread pushes into per-shard SPSC rings while pump threads
   # drain and deliver through the merge callback; the threaded
   # equivalence + kill legs cross those with supervised recovery.
+  # SpscQueueTest.* includes the capacity-2 ping-pong park test and
+  # ShardRouterTest.* the 2,000-round quiesce test and the mid-stream
+  # callback swap; the checkpoint-store waits and the isolation eject
+  # (which waits on one) cover the store's wake path.
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     ./build-tsan/tests/astream_tests \
-    --gtest_filter='SpscQueueTest.*:ShardRouterTest.*:ShardEquivalenceTest.ThreadedRouterMatchesReference:Shards/ShardCountEquivalenceTest.*:Seeds/ShardKillChaosTest.FullStackKillAndSplitExactlyOnce/*_1'
+    --gtest_filter='SpscQueueTest.*:ShardRouterTest.*:CheckpointStoreTest.WaitForComplete*:IsolationTest.EjectionIsByteIdentical:ShardEquivalenceTest.ThreadedRouterMatchesReference:Shards/ShardCountEquivalenceTest.*:Seeds/ShardKillChaosTest.FullStackKillAndSplitExactlyOnce/*_1'
 
   echo "== tsan: compaction worker (fold thread vs owning-task adoption) =="
   # The worker folds runs off-thread and hands them over through the

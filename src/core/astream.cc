@@ -483,6 +483,7 @@ Status AStreamJob::Start() {
         edge_batch_hists_[stage]->Record(static_cast<int64_t>(batch));
       });
     }
+    threaded->SetFailureObserver([store = store_] { store->WakeWaiters(); });
     runner_ = std::move(threaded);
   } else {
     runner_ = std::make_unique<spe::SyncRunner>(std::move(spec), sink,
@@ -502,12 +503,7 @@ void AStreamJob::HandleSink(int stage, int instance,
     case spe::ElementKind::kRecord: {
       const spe::Record& record = el.record;
       if (record.channel < 0) return;  // unrouted (should not happen)
-      ResultCallback cb;
-      {
-        std::lock_guard<std::mutex> lock(callback_mutex_);
-        cb = result_callback_;
-      }
-      if (cb) cb(record.channel, record);
+      result_callback_(record.channel, record);
       break;
     }
     case spe::ElementKind::kMarker: {
@@ -923,8 +919,7 @@ AStreamJob::TaskHealth() const {
 }
 
 void AStreamJob::SetResultCallback(ResultCallback callback) {
-  std::lock_guard<std::mutex> lock(callback_mutex_);
-  result_callback_ = std::move(callback);
+  result_callback_.Set(std::move(callback));
 }
 
 AStreamJob::OperatorStats& AStreamJob::OperatorStats::operator+=(

@@ -9,6 +9,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/callback_slot.h"
 #include "core/admission.h"
 #include "core/multiway_join.h"
 #include "core/push_result.h"
@@ -218,6 +219,9 @@ class AStreamJob {
   /// in sync mode, which cannot stall).
   std::vector<spe::ThreadedRunner::TaskHealthSample> TaskHealth() const;
 
+  /// Replaceable at any time, also after Start(). Sink threads read it
+  /// lock-free; a replaced callback stays allocated until the job is
+  /// destroyed (one per call; see common/callback_slot.h).
   void SetResultCallback(ResultCallback callback);
 
   const SharedSession& session() const { return session_; }
@@ -365,8 +369,8 @@ class AStreamJob {
   int64_t next_mode_epoch_ = 1;
   int64_t next_checkpoint_epoch_ = 1;
 
-  std::mutex callback_mutex_;
-  ResultCallback result_callback_;
+  /// Read lock-free by sink threads, once per output row.
+  CallbackSlot<ResultCallback> result_callback_;
 
   bool started_ = false;
   bool finished_ = false;

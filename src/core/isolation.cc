@@ -1,7 +1,6 @@
 #include "core/isolation.h"
 
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "core/window_math.h"
@@ -197,21 +196,16 @@ Status IsolationManager::Maintain() {
 Status IsolationManager::WaitForCheckpoint(
     int64_t id,
     std::shared_ptr<const spe::CheckpointStore::Checkpoint>* out) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (true) {
-    std::shared_ptr<const spe::CheckpointStore::Checkpoint> snap =
-        primary_->checkpoints().Get(id);
-    if (snap != nullptr && snap->complete) {
-      *out = std::move(snap);
-      return Status::OK();
-    }
-    if (!primary_->Health().ok()) return primary_->Health();
-    if (std::chrono::steady_clock::now() >= deadline) {
-      return Status::Internal("de-sharing checkpoint did not complete");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  std::shared_ptr<const spe::CheckpointStore::Checkpoint> snap =
+      primary_->checkpoints().WaitForComplete(
+          id, std::chrono::steady_clock::now() + std::chrono::seconds(10),
+          [this] { return primary_->Failed(); });
+  if (snap != nullptr) {
+    *out = std::move(snap);
+    return Status::OK();
   }
+  if (!primary_->Health().ok()) return primary_->Health();
+  return Status::Internal("de-sharing checkpoint did not complete");
 }
 
 Status IsolationManager::EjectWhale(QueryId id) {

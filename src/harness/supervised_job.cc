@@ -220,8 +220,7 @@ Status SupervisedJob::Stop() {
 
 void SupervisedJob::SetResultCallback(
     core::AStreamJob::ResultCallback callback) {
-  std::lock_guard<std::mutex> lock(cb_mu_);
-  user_callback_ = std::move(callback);
+  user_callback_.Set(std::move(callback));
 }
 
 int64_t SupervisedJob::replayed_rows() const {
@@ -242,16 +241,10 @@ Status SupervisedJob::StandUpJobLocked() {
   ASTREAM_RETURN_IF_ERROR(job.status());
   job_ = std::move(job).value();
   // Every delivery funnels through the exactly-once filter; the user
-  // callback is looked up under its own lock (sink threads must never
-  // contend with control ops that join them).
+  // callback is read lock-free (sink threads must never contend with
+  // control ops that join them).
   job_->SetResultCallback([this](core::QueryId id, const spe::Record& r) {
-    if (!dedup_.Admit(id, r)) return;
-    core::AStreamJob::ResultCallback cb;
-    {
-      std::lock_guard<std::mutex> lock(cb_mu_);
-      cb = user_callback_;
-    }
-    if (cb) cb(id, r);
+    if (dedup_.Admit(id, r)) user_callback_(id, r);
   });
   return job_->Start();
 }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 
+#include "common/callback_slot.h"
 #include "core/astream.h"
 #include "core/recovery.h"
 #include "harness/source_log.h"
@@ -94,7 +95,9 @@ class SupervisedJob {
   Status Stop();
 
   /// Deliveries are filtered through the exactly-once dedup before
-  /// reaching this callback (sink threads in threaded mode).
+  /// reaching this callback (sink threads in threaded mode). Replaceable
+  /// at any time; a replaced callback stays allocated until this job is
+  /// destroyed (common/callback_slot.h).
   void SetResultCallback(core::AStreamJob::ResultCallback callback);
 
   /// The current job incarnation (replaced by every recovery).
@@ -149,10 +152,9 @@ class SupervisedJob {
   bool started_ = false;
   bool finished_ = false;
 
-  // Separate from mu_: the dedup wrapper runs on sink threads and must
-  // never contend with a control-thread op that joins those threads.
-  std::mutex cb_mu_;
-  core::AStreamJob::ResultCallback user_callback_;
+  // Lock-free, apart from mu_: the dedup wrapper runs on sink threads and
+  // must never contend with a control-thread op that joins those threads.
+  CallbackSlot<core::AStreamJob::ResultCallback> user_callback_;
 };
 
 }  // namespace astream::harness

@@ -25,8 +25,8 @@ ShardRouter::ShardRouter(JobConfig config)
   if (router_metrics_.enabled()) {
     egress_dropped_ = router_metrics_.GetCounter("shard.egress_dropped");
   }
-  plan_.store(std::make_shared<const ShardPlan>(
-      ShardPlan::Uniform(config_.shards, config_.slots)));
+  plan_ = std::make_shared<const ShardPlan>(
+      ShardPlan::Uniform(config_.shards, config_.slots));
   generations_.assign(static_cast<size_t>(config_.shards), 0);
 }
 
@@ -67,13 +67,13 @@ std::unique_ptr<ShardRuntime> ShardRouter::MakeRuntime(
 
 void ShardRouter::InstallCallback(ShardRuntime* runtime, int index) {
   runtime->SetResultCallback(
-      [this, index](core::QueryId id, const spe::Record& r) {
-        Deliver(index, id, r);
+      [this, index, plan = plan_](core::QueryId id, const spe::Record& r) {
+        Deliver(*plan, index, id, r);
       });
 }
 
-void ShardRouter::Deliver(int shard_index, core::QueryId id,
-                          const spe::Record& r) {
+void ShardRouter::Deliver(const ShardPlan& plan, int shard_index,
+                          core::QueryId id, const spe::Record& r) {
   // Ownership filter: every emitted row is keyed by column 0 (selections
   // pass the input row, joins emit the A side first, aggregations emit
   // Row{key, value}), so the key's current slot owner is the one shard
@@ -81,24 +81,17 @@ void ShardRouter::Deliver(int shard_index, core::QueryId id,
   // pre-split state and both re-emit surviving windows — the filter keeps
   // exactly the owner's copy, which is what makes the merged output
   // byte-identical to an unsharded run.
-  const std::shared_ptr<const ShardPlan> plan = plan_.load();
-  if (plan->OwnerOfKey(r.row.key()) != shard_index) {
+  if (plan.OwnerOfKey(r.row.key()) != shard_index) {
     if (egress_dropped_ != nullptr) egress_dropped_->Add();
     return;
   }
-  core::AStreamJob::ResultCallback cb;
-  {
-    std::lock_guard<std::mutex> lock(cb_mu_);
-    cb = user_callback_;
-  }
-  if (cb) cb(id, r);
+  user_callback_(id, r);
 }
 
 core::PushResult ShardRouter::Push(StreamId stream, TimestampMs event_time,
                                    spe::Row row) {
   if (!started_) return core::PushResult::kShutdown;
-  const std::shared_ptr<const ShardPlan> plan = plan_.load();
-  const int owner = plan->OwnerOfKey(row.key());
+  const int owner = plan_->OwnerOfKey(row.key());
   return shards_[static_cast<size_t>(owner)]->Push(stream, event_time,
                                                    std::move(row));
 }
@@ -243,15 +236,13 @@ Status ShardRouter::MoveShard(int shard) {
     return Status::Internal("drain of shard " + std::to_string(shard) +
                             " failed");
   }
+  // Ownership is unchanged; the version bump records the migration.
+  plan_ = std::make_shared<const ShardPlan>(plan_->Moved(shard, shard));
   auto runtime =
       MakeRuntime(shard, ++generations_[static_cast<size_t>(shard)], cp);
   ASTREAM_RETURN_IF_ERROR(runtime->Start());
   InstallCallback(runtime.get(), shard);
   shards_[static_cast<size_t>(shard)] = std::move(runtime);
-  // Ownership is unchanged; the version bump records the migration.
-  const std::shared_ptr<const ShardPlan> plan = plan_.load();
-  plan_.store(
-      std::make_shared<const ShardPlan>(plan->Moved(shard, shard)));
   last_reshard_pause_ms_.store(SteadyNowMs() - t0,
                                std::memory_order_relaxed);
   return Status::OK();
@@ -262,12 +253,9 @@ Status ShardRouter::SplitShard(int shard) {
   if (shard < 0 || shard >= num_shards()) {
     return Status::InvalidArgument("no such shard");
   }
-  {
-    const std::shared_ptr<const ShardPlan> plan = plan_.load();
-    if (plan->SlotsOwnedBy(shard).size() < 2) {
-      return Status::FailedPrecondition(
-          "shard owns fewer than 2 slots; nothing to split");
-    }
+  if (plan_->SlotsOwnedBy(shard).size() < 2) {
+    return Status::FailedPrecondition(
+        "shard owns fewer than 2 slots; nothing to split");
   }
   const int64_t t0 = SteadyNowMs();
   const int new_shard = num_shards();
@@ -283,9 +271,7 @@ Status ShardRouter::SplitShard(int shard) {
       MakeRuntime(shard, ++generations_[static_cast<size_t>(shard)], cp);
   generations_.push_back(0);
   auto right = MakeRuntime(new_shard, 0, cp);
-  const std::shared_ptr<const ShardPlan> plan = plan_.load();
-  plan_.store(
-      std::make_shared<const ShardPlan>(plan->Split(shard, new_shard)));
+  plan_ = std::make_shared<const ShardPlan>(plan_->Split(shard, new_shard));
   ASTREAM_RETURN_IF_ERROR(left->Start());
   ASTREAM_RETURN_IF_ERROR(right->Start());
   InstallCallback(left.get(), shard);
@@ -365,8 +351,7 @@ Status ShardRouter::Health() const {
 
 void ShardRouter::SetResultCallback(
     core::AStreamJob::ResultCallback callback) {
-  std::lock_guard<std::mutex> lock(cb_mu_);
-  user_callback_ = std::move(callback);
+  user_callback_.Set(std::move(callback));
 }
 
 obs::MetricsRegistry::Snapshot ShardRouter::MetricsSnapshot() {

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <vector>
 
+#include "common/callback_slot.h"
 #include "shard/shard_plan.h"
 #include "shard/shard_runtime.h"
 
@@ -30,7 +31,8 @@ namespace astream::shard {
 /// measured control-thread pause is reported via last_reshard_pause_ms().
 ///
 /// Single control thread, like AStreamJob. Result callbacks arrive on
-/// shard sink threads in threaded mode.
+/// shard sink threads in threaded mode (shard pump threads, or engine
+/// task threads with job.threaded); egress takes no lock per row.
 class ShardRouter {
  public:
   static Result<std::unique_ptr<ShardRouter>> Create(JobConfig config);
@@ -88,6 +90,10 @@ class ShardRouter {
   Status Stop();
   Status Health() const;
 
+  /// Replaceable at any time, also after Start(): each row reaches the
+  /// callback current when its shard delivers it. A replaced callback
+  /// stays allocated until the router is destroyed (one per call; see
+  /// common/callback_slot.h).
   void SetResultCallback(core::AStreamJob::ResultCallback callback);
 
   /// Deployment-wide views.
@@ -95,7 +101,7 @@ class ShardRouter {
   core::AStreamJob::OperatorStats CollectStats() const;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  std::shared_ptr<const ShardPlan> plan() const { return plan_.load(); }
+  std::shared_ptr<const ShardPlan> plan() const { return plan_; }
   /// Test access to one shard runtime.
   ShardRuntime* shard(int i) { return shards_[static_cast<size_t>(i)].get(); }
 
@@ -105,12 +111,17 @@ class ShardRouter {
   std::unique_ptr<ShardRuntime> MakeRuntime(
       int index, int generation,
       std::shared_ptr<const spe::CheckpointStore::Checkpoint> restore_from);
-  /// Installs the merged, ownership-filtered result callback on a shard.
+  /// Installs the merged, ownership-filtered result callback on a shard
+  /// incarnation, bound to the current plan_. An incarnation's owned slots
+  /// are fixed for its lifetime (a split or move rebuilds the runtime, and
+  /// a split only moves slots between the two rebuilt halves), so its
+  /// sink threads never read plan_. Publish the new plan first.
   void InstallCallback(ShardRuntime* runtime, int index);
   /// Drains `shard` to its hand-off checkpoint (nullptr on failure) and
   /// folds the drained incarnation's metrics into retired_metrics_.
   std::shared_ptr<const spe::CheckpointStore::Checkpoint> Drain(int shard);
-  void Deliver(int shard_index, core::QueryId id, const spe::Record& r);
+  void Deliver(const ShardPlan& plan, int shard_index, core::QueryId id,
+               const spe::Record& r);
   /// Drains every shard's ingress ring before a control fan-out so all
   /// shards stamp the operation at one consistent wall time.
   void QuiesceAll();
@@ -131,11 +142,11 @@ class ShardRouter {
   std::vector<std::unique_ptr<ShardRuntime>> shards_;
   /// Bumped per index on every rebuild (durable dir uniqueness).
   std::vector<int> generations_;
-  /// Snapshot-swapped ownership table; sink threads load it wait-free.
-  std::atomic<std::shared_ptr<const ShardPlan>> plan_;
+  /// Ownership table, read and replaced by the control thread only (each
+  /// shard's egress callback holds the plan it was installed with).
+  std::shared_ptr<const ShardPlan> plan_;
 
-  std::mutex cb_mu_;
-  core::AStreamJob::ResultCallback user_callback_;
+  CallbackSlot<core::AStreamJob::ResultCallback> user_callback_;
 
   mutable std::mutex poison_mu_;
   Status poisoned_ = Status::OK();

@@ -131,23 +131,23 @@ ShardRuntime::CheckpointAndWait() {
   }
   if (id < 0) return nullptr;
   // Threaded engines complete barriers asynchronously on task threads;
-  // sync engines complete before TriggerCheckpoint returns.
+  // sync engines complete before TriggerCheckpoint returns. The store
+  // wakes the wait on completion and when the engine fails.
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(kCheckpointWaitMs);
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto cp = store->Get(id);
-    if (cp != nullptr && cp->complete) return cp;
-    if (supervised_ != nullptr && job()->Failed()) {
-      // The engine died mid-barrier. Taking another supervised checkpoint
-      // recovers the job and replays the log, re-triggering the logged
-      // barrier `id` with its original id — so it still completes.
-      if (supervised_->Checkpoint() < 0) return nullptr;
-    } else if (supervised_ == nullptr && plain_->Failed()) {
+  while (true) {
+    auto cp = store->WaitForComplete(id, deadline,
+                                     [this] { return job()->Failed(); });
+    if (cp != nullptr) return cp;
+    if (supervised_ == nullptr ||
+        std::chrono::steady_clock::now() >= deadline) {
       return nullptr;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // The engine died mid-barrier. Taking another supervised checkpoint
+    // recovers the job and replays the log, re-triggering the logged
+    // barrier `id` with its original id — so it still completes.
+    if (supervised_->Checkpoint() < 0) return nullptr;
   }
-  return nullptr;
 }
 
 std::shared_ptr<const spe::CheckpointStore::Checkpoint>
@@ -223,7 +223,11 @@ void ShardRuntime::PumpLoop() {
       // plain shard reports kShutdown, surfaced via Health().
       (void)ApplyPush(item.stream, item.time, std::move(item.row));
     }
-    applied_.fetch_add(1, std::memory_order_release);
+    // seq_cst publish, then one load unless the control thread is parked
+    // in Quiesce(). It waits for everything it enqueued and pushes nothing
+    // meanwhile, so it is woken once, when the ring is empty.
+    applied_.fetch_add(1, std::memory_order_seq_cst);
+    if (quiesced_.Parked() && ring_->SizeApprox() == 0) quiesced_.Wake();
   }
 }
 
@@ -231,12 +235,9 @@ void ShardRuntime::Quiesce() {
   if (ring_ == nullptr) return;
   // Single producer (the control thread — us): enqueued_ is stable here.
   const int64_t target = enqueued_.load(std::memory_order_relaxed);
-  std::unique_lock<std::mutex> lock(quiesce_mu_);
-  while (applied_.load(std::memory_order_acquire) < target) {
-    // Bounded wait (repo idiom): no wakeup protocol to get wrong, worst
-    // case one millisecond of extra latency per control-plane call.
-    quiesce_cv_.wait_for(lock, std::chrono::milliseconds(1));
-  }
+  quiesced_.ParkUntil([this, target] {
+    return applied_.load(std::memory_order_seq_cst) >= target;
+  });
 }
 
 core::PushResult ShardRuntime::ApplyPush(int stream, TimestampMs t,

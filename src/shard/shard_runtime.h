@@ -2,12 +2,11 @@
 #define ASTREAM_SHARD_SHARD_RUNTIME_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 
+#include "common/parker.h"
 #include "core/job_config.h"
 #include "harness/supervised_job.h"
 #include "shard/spsc_queue.h"
@@ -67,8 +66,10 @@ class ShardRuntime {
   bool WaitForDeployment(TimestampMs timeout_ms);
 
   /// Triggers a checkpoint and blocks until it is complete in the store
-  /// (threaded engines complete asynchronously). Returns the completed
-  /// checkpoint, or nullptr on failure/timeout.
+  /// (threaded engines complete asynchronously; the store wakes the wait).
+  /// Returns the completed checkpoint, or nullptr on failure or after
+  /// 10 s. A supervised shard whose engine dies mid-barrier recovers and
+  /// keeps waiting; a plain shard returns nullptr.
   std::shared_ptr<const spe::CheckpointStore::Checkpoint>
   CheckpointAndWait();
 
@@ -114,7 +115,8 @@ class ShardRuntime {
   };
 
   void PumpLoop();
-  /// Waits until every enqueued ingress item has been applied.
+  /// Waits until every enqueued ingress item has been applied: parks on
+  /// `quiesced_`, which the pump wakes after publishing `applied_`.
   void Quiesce();
   core::PushResult ApplyPush(int stream, TimestampMs t, spe::Row row);
   void ApplyWatermark(TimestampMs wm);
@@ -129,8 +131,7 @@ class ShardRuntime {
   std::thread pump_;
   std::atomic<int64_t> enqueued_{0};
   std::atomic<int64_t> applied_{0};
-  std::mutex quiesce_mu_;
-  std::condition_variable quiesce_cv_;
+  Parker quiesced_;  // the control thread parks here in Quiesce()
 
   bool started_ = false;
   bool stopped_ = false;

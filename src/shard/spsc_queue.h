@@ -3,22 +3,28 @@
 
 #include <atomic>
 #include <cassert>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
 #include <utility>
 #include <vector>
+
+#include "common/parker.h"
 
 namespace astream::shard {
 
 /// Generic single-producer/single-consumer ring for shard ingress: the
-/// control thread enqueues, one pump thread drains. Same discipline as
-/// spe::SpscRing (power-of-two slots, acquire/release index pair, cached
-/// opposite index on a separate cache line, spin-then-park on both sides
-/// with bounded 1 ms waits so a lost wakeup costs a millisecond, never a
-/// hang) — this is what retires the mutex MPMC Channel from the external
-/// push path.
+/// control thread enqueues, one pump thread drains. Same index discipline
+/// as spe::SpscRing (power-of-two slots, acquire/release index pair,
+/// cached opposite index on a separate cache line) — this is what retires
+/// the mutex MPMC Channel from the external push path.
+///
+/// Blocking Push/Pop spin briefly, then park on a Parker (common/parker.h)
+/// with no timeout: each side publishes its index with a seq_cst store
+/// and then wakes the other side only if it announced itself parked, and
+/// the parked side re-checks the index after announcing. So a push that
+/// lands in the consumer's check-then-park window is seen by one of the
+/// two, never lost, and an uncontended Push or Pop pays one extra load.
+/// A consumer parked on an empty ring wakes on the first push; a producer
+/// parked on a full ring wakes once the ring is half drained.
 ///
 /// Close() wins over full: a producer parked on a full ring observes the
 /// close and gives up; the consumer drains whatever was published before
@@ -43,24 +49,21 @@ class SpscQueue {
       if (tail - head_cache_ >= capacity_) return false;
     }
     slots_[tail & mask_] = std::move(item);
-    tail_.store(tail + 1, std::memory_order_release);
-    MaybeWake(&consumer_parked_);
+    tail_.store(tail + 1, std::memory_order_seq_cst);
+    consumer_.Wake();
     return true;
   }
 
   /// Producer. Blocks (spin, then park) until space; false when closed.
   bool Push(T item) {
-    for (int spin = 0; spin < 256; ++spin) {
+    for (int spins = 0;;) {
       if (TryPush(std::move(item))) return true;
       if (closed_.load(std::memory_order_acquire)) return false;
-    }
-    std::unique_lock<std::mutex> lock(park_mu_);
-    while (true) {
-      if (TryPush(std::move(item))) return true;
-      if (closed_.load(std::memory_order_acquire)) return false;
-      producer_parked_.store(true, std::memory_order_release);
-      park_cv_.wait_for(lock, std::chrono::milliseconds(1));
-      producer_parked_.store(false, std::memory_order_release);
+      if (spins < kSpins) {
+        ++spins;
+      } else {
+        producer_.ParkUntil([this] { return CanPush(); });
+      }
     }
   }
 
@@ -72,36 +75,39 @@ class SpscQueue {
       if (head == tail_cache_) return false;
     }
     *out = std::move(slots_[head & mask_]);
-    head_.store(head + 1, std::memory_order_release);
-    MaybeWake(&producer_parked_);
+    head_.store(head + 1, std::memory_order_seq_cst);
+    // A parked producer sleeps until the ring is half drained (CanPush),
+    // so a full ring costs one wake per capacity/2 items, not one per
+    // item. While it is parked tail_ is stable.
+    if (producer_.Parked() &&
+        tail_.load(std::memory_order_acquire) - (head + 1) <= capacity_ / 2) {
+      producer_.Wake();
+    }
     return true;
   }
 
   /// Consumer. Blocks until an item arrives or the ring is closed AND
   /// drained (then false — the shutdown signal).
   bool Pop(T* out) {
-    for (int spin = 0; spin < 256; ++spin) {
+    for (int spins = 0;;) {
       if (TryPop(out)) return true;
       if (closed_.load(std::memory_order_acquire)) {
         // Re-check after observing close: items published before the
         // close must still drain.
         return TryPop(out);
       }
-    }
-    std::unique_lock<std::mutex> lock(park_mu_);
-    while (true) {
-      if (TryPop(out)) return true;
-      if (closed_.load(std::memory_order_acquire)) return TryPop(out);
-      consumer_parked_.store(true, std::memory_order_release);
-      park_cv_.wait_for(lock, std::chrono::milliseconds(1));
-      consumer_parked_.store(false, std::memory_order_release);
+      if (spins < kSpins) {
+        ++spins;
+      } else {
+        consumer_.ParkUntil([this] { return CanPop(); });
+      }
     }
   }
 
   void Close() {
-    closed_.store(true, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(park_mu_);
-    park_cv_.notify_all();
+    closed_.store(true, std::memory_order_seq_cst);
+    producer_.Wake();
+    consumer_.Wake();
   }
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
@@ -116,14 +122,21 @@ class SpscQueue {
   size_t capacity() const { return capacity_; }
 
  private:
-  void MaybeWake(const std::atomic<bool>* parked) {
-    // Deliberately lock-free: Push/Pop's parked loops invoke Try* while
-    // already holding park_mu_, so taking it here would self-deadlock.
-    // Waiters only ever block in bounded 1 ms wait_for calls, so a
-    // notify that races a waiter between its check and its wait costs
-    // one extra wait round, never a hang.
-    if (!parked->load(std::memory_order_acquire)) return;
-    park_cv_.notify_all();
+  static constexpr int kSpins = 256;
+
+  // Park conditions, read seq_cst (the Parker contract). CanPush runs on
+  // the producer (tail_ is its own): a producer that found the ring full
+  // resumes once it is at most half full. CanPop runs on the consumer.
+  bool CanPush() const {
+    return closed_.load(std::memory_order_seq_cst) ||
+           tail_.load(std::memory_order_relaxed) -
+                   head_.load(std::memory_order_seq_cst) <=
+               capacity_ / 2;
+  }
+  bool CanPop() const {
+    return closed_.load(std::memory_order_seq_cst) ||
+           tail_.load(std::memory_order_seq_cst) !=
+               head_.load(std::memory_order_relaxed);
   }
 
   const size_t capacity_;
@@ -136,10 +149,8 @@ class SpscQueue {
   alignas(64) uint64_t tail_cache_ = 0;        // consumer's view of tail
   alignas(64) std::atomic<bool> closed_{false};
 
-  std::mutex park_mu_;
-  std::condition_variable park_cv_;
-  std::atomic<bool> producer_parked_{false};
-  std::atomic<bool> consumer_parked_{false};
+  alignas(64) Parker producer_;  // producer parks here on a full ring
+  alignas(64) Parker consumer_;  // consumer parks here on an empty ring
 };
 
 }  // namespace astream::shard

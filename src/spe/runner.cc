@@ -648,6 +648,7 @@ void ThreadedRunner::Poison(const Status& status) {
   for (auto& stage_tasks : tasks_) {
     for (auto& task : stage_tasks) task->inbox->Close();
   }
+  if (failure_observer_) failure_observer_();
 }
 
 Status ThreadedRunner::Failure() const {

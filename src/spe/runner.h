@@ -264,6 +264,13 @@ class ThreadedRunner : public Runner {
   void SetEdgePushObserver(EdgePushObserver observer) {
     edge_observer_ = std::move(observer);
   }
+  /// Installs a hook run after every Poison (any thread; must be
+  /// thread-safe). Must be called before Start(). The facade wires it to
+  /// CheckpointStore::WakeWaiters so a wait for a barrier the dead engine
+  /// will never complete ends at once.
+  void SetFailureObserver(std::function<void()> observer) {
+    failure_observer_ = std::move(observer);
+  }
 
   Status Start() override;
   bool Push(int input_index, StreamElement element) override;
@@ -345,6 +352,7 @@ class ThreadedRunner : public Runner {
   const size_t channel_capacity_;
   const size_t batch_size_;
   EdgePushObserver edge_observer_;
+  std::function<void()> failure_observer_;
   std::vector<std::vector<std::unique_ptr<Task>>> tasks_;
   std::vector<std::vector<internal::DownstreamEdge>> downstream_;
   std::vector<int> gid_base_;

@@ -170,6 +170,7 @@ void CheckpointStore::MaybeComplete(int64_t id, size_t expected_states) {
   if (it == checkpoints_.end()) return;
   if (it->second->operator_state.size() < expected_states) return;
   it->second->complete = true;
+  complete_cv_.notify_all();
   // Retention: keep the newest `retention_` completed checkpoints and all
   // in-flight ones; erase older completed entries (recovery only ever
   // reads LatestComplete or an explicitly held shared_ptr).
@@ -212,6 +213,33 @@ std::shared_ptr<const CheckpointStore::Checkpoint> CheckpointStore::Get(
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = checkpoints_.find(id);
   return it == checkpoints_.end() ? nullptr : it->second;
+}
+
+std::shared_ptr<const CheckpointStore::Checkpoint>
+CheckpointStore::CompleteLocked(int64_t id) const {
+  auto it = checkpoints_.find(id);
+  if (it == checkpoints_.end() || !it->second->complete) return nullptr;
+  return it->second;
+}
+
+std::shared_ptr<const CheckpointStore::Checkpoint>
+CheckpointStore::WaitForComplete(
+    int64_t id, std::chrono::steady_clock::time_point deadline,
+    const std::function<bool()>& interrupted) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (true) {
+    if (auto cp = CompleteLocked(id)) return cp;
+    if (interrupted && interrupted()) return nullptr;
+    if (complete_cv_.wait_until(lock, deadline) ==
+        std::cv_status::timeout) {
+      return CompleteLocked(id);
+    }
+  }
+}
+
+void CheckpointStore::WakeWaiters() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  complete_cv_.notify_all();
 }
 
 }  // namespace astream::spe

@@ -1,7 +1,10 @@
 #ifndef ASTREAM_SPE_STATE_H_
 #define ASTREAM_SPE_STATE_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -125,8 +128,25 @@ class CheckpointStore {
   virtual std::shared_ptr<const Checkpoint> LatestComplete() const;
   virtual std::shared_ptr<const Checkpoint> Get(int64_t id) const;
 
+  /// Blocks until checkpoint `id` is complete and returns it; nullptr once
+  /// `deadline` passes or `interrupted()` holds. MaybeComplete wakes the
+  /// wait when a checkpoint completes and WakeWaiters when an engine
+  /// fails, so neither is polled for. `interrupted` runs under the store's
+  /// mutex and must not call back into the store.
+  std::shared_ptr<const Checkpoint> WaitForComplete(
+      int64_t id, std::chrono::steady_clock::time_point deadline,
+      const std::function<bool()>& interrupted);
+  /// Re-evaluates every waiter's `interrupted` (engines call this from
+  /// their failure path).
+  void WakeWaiters();
+
  protected:
+  /// Checkpoint `id` if it is complete, else nullptr. Caller holds mutex_.
+  virtual std::shared_ptr<const Checkpoint> CompleteLocked(int64_t id) const;
+
   mutable std::mutex mutex_;
+  /// Signalled under mutex_ on every completion and by WakeWaiters.
+  std::condition_variable complete_cv_;
   size_t retention_ = 2;
   std::map<int64_t, std::shared_ptr<Checkpoint>> checkpoints_;
 };

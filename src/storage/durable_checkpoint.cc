@@ -80,6 +80,7 @@ void DurableCheckpointStore::MaybeComplete(int64_t id,
     std::remove(files_.begin()->second.c_str());
     files_.erase(files_.begin());
   }
+  complete_cv_.notify_all();
 }
 
 size_t DurableCheckpointStore::NumRetained() const {
@@ -125,6 +126,11 @@ DurableCheckpointStore::LatestComplete() const {
 std::shared_ptr<const spe::CheckpointStore::Checkpoint>
 DurableCheckpointStore::Get(int64_t id) const {
   std::lock_guard<std::mutex> lock(mutex_);
+  return CompleteLocked(id);
+}
+
+std::shared_ptr<const spe::CheckpointStore::Checkpoint>
+DurableCheckpointStore::CompleteLocked(int64_t id) const {
   if (files_.find(id) == files_.end()) return nullptr;
   return Load(id);
 }

@@ -48,6 +48,9 @@ class DurableCheckpointStore : public spe::CheckpointStore {
   /// a later snapshot arrival retries).
   int64_t write_failures() const { return write_failures_; }
 
+ protected:
+  std::shared_ptr<const Checkpoint> CompleteLocked(int64_t id) const override;
+
  private:
   std::string PathFor(int64_t id) const;
   /// Persists a staged checkpoint as a run file. Caller holds mutex_.

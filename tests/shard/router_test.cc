@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <mutex>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "core/astream.h"
+#include "harness/reference.h"
 
 namespace astream::shard {
 namespace {
@@ -18,6 +20,8 @@ using core::Predicate;
 using core::QueryDescriptor;
 using core::QueryId;
 using core::QueryKind;
+using harness::AddToMultiset;
+using harness::RowMultiset;
 using spe::Row;
 
 JobConfig InlineConfig(ManualClock* clock, int shards, int slots = 8) {
@@ -218,6 +222,137 @@ TEST(ShardRouterTest, SplitEgressDropsReconcileMergedOutputs) {
   const int64_t dropped = merged.counters.at("shard.egress_dropped");
   EXPECT_GT(dropped, 0);
   EXPECT_EQ(emitted - dropped, delivered);
+}
+
+// Drives `rounds` rounds of three pushes and a watermark, then Submit of a
+// fresh selection, Cancel of the previous round's one and Pump(true), on
+// any target with the AStreamJob / ShardRouter control surface. `push`
+// adapts the stream argument (AStreamJob takes an int).
+template <typename Target, typename PushFn>
+std::map<QueryId, RowMultiset> RunControlRounds(Target* target,
+                                                ManualClock* clock,
+                                                PushFn push, int rounds) {
+  std::map<QueryId, RowMultiset> outputs;
+  std::mutex mu;
+  target->SetResultCallback([&](QueryId id, const spe::Record& r) {
+    std::lock_guard<std::mutex> lock(mu);
+    AddToMultiset(&outputs[id], r.event_time, r.row);
+  });
+  clock->SetMs(0);
+  auto standing = target->Submit(PassAllSelection());
+  EXPECT_TRUE(standing.ok());
+  target->Pump(true);
+  QueryId previous = -1;
+  for (int round = 0; round < rounds; ++round) {
+    const TimestampMs t = 1 + 2 * round;
+    clock->SetMs(t);
+    for (int i = 0; i < 3; ++i) {
+      const spe::Value key = (round * 3 + i) % 13;
+      push(target, t, Row(std::vector<spe::Value>{key, (round * 7 + i) % 100}));
+    }
+    target->PushWatermark(t - 1);
+    QueryDescriptor d;
+    d.kind = QueryKind::kSelection;
+    d.select_a = {Predicate{1, CmpOp::kGt, round % 50}};
+    auto id = target->Submit(d);
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    if (previous >= 0) {
+      EXPECT_TRUE(target->Cancel(previous).ok());
+    }
+    target->Pump(true);
+    previous = id.ok() ? *id : -1;
+  }
+  EXPECT_TRUE(target->FinishAndWait().ok());
+  std::lock_guard<std::mutex> lock(mu);
+  return outputs;
+}
+
+// Every Submit, Cancel and Pump quiesces both shards right after pushes
+// landed, so the control thread parks on the pumps' wake thousands of
+// times, and each pump parks on its empty ring between rounds. No wait has
+// a timed fallback: a lost wakeup hangs here and the ctest TIMEOUT fails
+// the suite. The merged outputs must equal one sync job's.
+TEST(ShardRouterTest, ThreadedControlRoundsMatchSyncReference) {
+  constexpr int kRounds = 2000;
+  std::map<QueryId, RowMultiset> reference;
+  {
+    ManualClock clock;
+    auto job =
+        std::move(AStreamJob::Create(InlineConfig(&clock, 1).job)).value();
+    ASSERT_TRUE(job->Start().ok());
+    reference = RunControlRounds(
+        job.get(), &clock,
+        [](AStreamJob* j, TimestampMs t, Row row) {
+          j->Push(0, t, std::move(row));
+        },
+        kRounds);
+  }
+  ManualClock clock;
+  JobConfig config = InlineConfig(&clock, 2);
+  config.shard_threads = true;
+  config.ingress_capacity = 4;
+  auto router = MakeStarted(std::move(config));
+  const auto sharded = RunControlRounds(
+      router.get(), &clock,
+      [](ShardRouter* r, TimestampMs t, Row row) {
+        EXPECT_EQ(r->Push(StreamId::kA, t, std::move(row)),
+                  core::PushResult::kAccepted);
+      },
+      kRounds);
+  // Most rounds' selections match a row pushed while they were live.
+  ASSERT_GT(reference.size(), static_cast<size_t>(kRounds) / 2);
+  EXPECT_EQ(reference, sharded);
+}
+
+// The result callback is replaced while three threaded shards deliver:
+// every row reaches exactly one of the two callbacks, rows pushed after the
+// swap reach the new one, and the total reconciles with the merged
+// metrics (Σ records_emitted − shard.egress_dropped).
+TEST(ShardRouterTest, ReplacingCallbackMidStreamDeliversEachRowOnce) {
+  constexpr int kRows = 6000;
+  ManualClock clock;
+  JobConfig config = InlineConfig(&clock, 3);
+  config.shard_threads = true;
+  auto router = MakeStarted(std::move(config));
+  std::mutex mu;
+  std::multiset<spe::Value> first;
+  std::multiset<spe::Value> second;
+  router->SetResultCallback([&](QueryId, const spe::Record& r) {
+    std::lock_guard<std::mutex> lock(mu);
+    first.insert(r.row.At(1));
+  });
+  ASSERT_TRUE(router->Submit(PassAllSelection()).ok());
+  router->Pump(true);
+
+  auto push = [&](int i) {
+    const TimestampMs t = 1 + i;
+    clock.SetMs(t);
+    ASSERT_EQ(router->Push(StreamId::kA, t,
+                           Row(std::vector<spe::Value>{i % 17, i})),
+              core::PushResult::kAccepted);
+  };
+  for (int i = 0; i < kRows / 2; ++i) push(i);
+  router->SetResultCallback([&](QueryId, const spe::Record& r) {
+    std::lock_guard<std::mutex> lock(mu);
+    second.insert(r.row.At(1));
+  });
+  for (int i = kRows / 2; i < kRows; ++i) push(i);
+  ASSERT_TRUE(router->FinishAndWait().ok());
+
+  std::lock_guard<std::mutex> lock(mu);
+  std::multiset<spe::Value> all = first;
+  all.insert(second.begin(), second.end());
+  ASSERT_EQ(all.size(), static_cast<size_t>(kRows));
+  for (int i = 0; i < kRows; ++i) EXPECT_EQ(all.count(i), 1u) << i;
+  for (int i = kRows / 2; i < kRows; ++i) EXPECT_EQ(second.count(i), 1u) << i;
+
+  const auto merged = router->MetricsSnapshot();
+  int64_t emitted = 0;
+  for (const auto& [id, series] : merged.queries) {
+    emitted += series.records_emitted;
+  }
+  EXPECT_EQ(emitted - merged.counters.at("shard.egress_dropped"),
+            static_cast<int64_t>(first.size() + second.size()));
 }
 
 }  // namespace

@@ -82,6 +82,40 @@ TEST(SpscQueueTest, TwoThreadOrderedDelivery) {
   }
 }
 
+// Two capacity-2 rings in a loop, in rounds of one item and of four. A
+// round of one leaves each side waiting on exactly one wake from the
+// other; a round of four also parks the driver on a full `ping` and the
+// echo thread on a full `pong`. No wait has a timed fallback, so a lost
+// wakeup hangs here and the ctest TIMEOUT fails the suite.
+TEST(SpscQueueTest, PingPongParksWithoutLosingAWakeup) {
+  constexpr int kItems = 100'000;
+  SpscQueue<int> ping(2);
+  SpscQueue<int> pong(2);
+  std::thread echo([&] {
+    int v = 0;
+    while (ping.Pop(&v)) {
+      if (!pong.Push(int(v))) return;
+    }
+    pong.Close();
+  });
+  int sent = 0;
+  int received = 0;
+  for (int round = 0; sent < kItems; ++round) {
+    const int burst = round % 2 == 0 ? 1 : 4;
+    for (int j = 0; j < burst; ++j) ASSERT_TRUE(ping.Push(sent++));
+    for (int j = 0; j < burst; ++j) {
+      int out = -1;
+      ASSERT_TRUE(pong.Pop(&out));
+      ASSERT_EQ(out, received++);
+    }
+  }
+  ping.Close();
+  int out = 0;
+  EXPECT_FALSE(pong.Pop(&out));  // echo saw the close and closed pong
+  echo.join();
+  EXPECT_EQ(received, sent);
+}
+
 TEST(SpscQueueTest, SizeApproxTracksOccupancy) {
   SpscQueue<int> q(16);
   EXPECT_EQ(q.SizeApprox(), 0u);

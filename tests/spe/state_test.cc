@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <thread>
+
 namespace astream::spe {
 namespace {
 
@@ -96,6 +100,57 @@ TEST(CheckpointStoreTest, AddToUnknownCheckpointIgnored) {
   store.AddOperatorState(99, 0, 0, {1});
   store.MaybeComplete(99, 1);
   EXPECT_EQ(store.Get(99), nullptr);
+}
+
+// A waiter blocked on an in-flight checkpoint is woken by the snapshot
+// that completes it on another thread, and reads the flag under the
+// store's mutex (the cross-thread handoff is what ThreadSanitizer checks).
+TEST(CheckpointStoreTest, WaitForCompleteWakesOnCompletion) {
+  CheckpointStore store;
+  store.BeginCheckpoint(1, {});
+  std::thread engine([&] {
+    store.AddOperatorState(1, 0, 0, {7});
+    store.MaybeComplete(1, 1);
+  });
+  auto cp = store.WaitForComplete(
+      1, std::chrono::steady_clock::now() + std::chrono::seconds(60),
+      nullptr);
+  engine.join();
+  ASSERT_NE(cp, nullptr);
+  EXPECT_TRUE(cp->complete);
+  EXPECT_EQ(cp->id, 1);
+}
+
+// An engine that fails mid-barrier never completes it: its failure path
+// calls WakeWaiters, and the waiter's interrupt predicate ends the wait
+// long before the deadline.
+TEST(CheckpointStoreTest, WaitForCompleteEndsOnInterrupt) {
+  CheckpointStore store;
+  store.BeginCheckpoint(1, {});
+  std::atomic<bool> failed{false};
+  std::thread engine([&] {
+    failed.store(true);
+    store.WakeWaiters();
+  });
+  auto cp = store.WaitForComplete(
+      1, std::chrono::steady_clock::now() + std::chrono::hours(1),
+      [&] { return failed.load(); });
+  engine.join();
+  EXPECT_EQ(cp, nullptr);
+}
+
+TEST(CheckpointStoreTest, WaitForCompleteHonorsDeadline) {
+  CheckpointStore store;
+  store.BeginCheckpoint(1, {});
+  EXPECT_EQ(store.WaitForComplete(1, std::chrono::steady_clock::now(),
+                                  nullptr),
+            nullptr);
+  store.AddOperatorState(1, 0, 0, {});
+  store.MaybeComplete(1, 1);
+  // Already complete: returned without waiting, deadline or not.
+  EXPECT_NE(store.WaitForComplete(1, std::chrono::steady_clock::now(),
+                                  nullptr),
+            nullptr);
 }
 
 }  // namespace
